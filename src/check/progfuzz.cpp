@@ -152,7 +152,12 @@ FuzzProgram GenerateFuzzProgram(std::uint64_t seed, FuzzShape shape) {
 
   const int nblocks = 10 + static_cast<int>(rng.NextBelow(8));
   for (int b = 0; b < nblocks; ++b) {
-    Gen g{rng, {}, "b" + std::to_string(b) + "_", 0};
+    // Appended piecewise: GCC 12's -Wrestrict misfires on the inlined
+    // `const char* + std::string` insert at -O3.
+    std::string label = "b";
+    label += std::to_string(b);
+    label += '_';
+    Gen g{rng, {}, std::move(label), 0};
     // Pick a block flavor, biased by the requested shape. One roll in four
     // is an off-shape block so even specialized suites keep some mixing.
     const bool off_shape = rng.NextBelow(4) == 0;

@@ -18,7 +18,6 @@
 namespace tfsim {
 namespace {
 
-constexpr const char* kMagicV1 = "tfi-cache v1";
 constexpr const char* kMagicV2 = "tfi-cache v2";
 constexpr const char* kCkptMagic = "tfi-ckpt v1";
 
@@ -46,8 +45,8 @@ bool ReadTrial(std::istream& in, TrialRecord& t) {
   return true;
 }
 
-// The v2 payload: the v1 body, but with every double at max_digits10 so a
-// cache hit reproduces the live run's golden stats bit-exactly.
+// The v2 payload, with every double at max_digits10 so a cache hit
+// reproduces the live run's golden stats bit-exactly.
 std::string SerializeResultPayload(const CampaignResult& r) {
   std::ostringstream os;
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
@@ -60,9 +59,7 @@ std::string SerializeResultPayload(const CampaignResult& r) {
   return os.str();
 }
 
-// Parses a v1/v2 body from `in` into `r` (spec already set). Shared between
-// the legacy reader and the checksummed v2 reader: the field layout never
-// changed, only the envelope and the double precision did.
+// Parses a v2 payload from `in` into `r` (spec already set).
 bool ParseResultPayload(std::istream& in, CampaignResult& r) {
   std::size_t n = 0;
   in >> n;
@@ -176,20 +173,14 @@ std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
 
   CampaignResult r;
   r.spec = spec;
-  if (magic == kMagicV2) {
-    const auto payload = ReadChecksummed(in);
-    if (!payload) return std::nullopt;
-    std::istringstream body(*payload);
-    if (!ParseResultPayload(body, r)) return std::nullopt;
-    return r;
-  }
-  if (magic == kMagicV1) {
-    // Legacy uprotected format: no checksum, stream-default double
-    // precision. Still readable so existing caches keep their value.
-    if (!ParseResultPayload(in, r)) return std::nullopt;
-    return r;
-  }
-  return std::nullopt;
+  // Only v2 is read: every v1 file was written under a key salt that can no
+  // longer match, so any other magic is a miss and the campaign re-runs.
+  if (magic != kMagicV2) return std::nullopt;
+  const auto payload = ReadChecksummed(in);
+  if (!payload) return std::nullopt;
+  std::istringstream body(*payload);
+  if (!ParseResultPayload(body, r)) return std::nullopt;
+  return r;
 }
 
 bool StoreCachedCampaign(const CampaignResult& result,

@@ -10,7 +10,8 @@
 // temp-file + atomic rename, with every floating-point field serialized at
 // max_digits10 so cache hits reproduce golden stats bit-exactly. Files whose
 // checksum, length or structure do not verify are treated as absent (the
-// campaign re-runs cleanly). Legacy "tfi-cache v1" files are still readable.
+// campaign re-runs cleanly), as are files with any other magic (the legacy
+// "tfi-cache v1" format included).
 //
 // Checkpoint journals ("<key>.ckpt", same checksummed-atomic envelope) hold
 // the contiguous completed-trial prefix of an in-flight campaign, flushed

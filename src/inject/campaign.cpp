@@ -242,34 +242,18 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   auto emit = [&](obs::Event e) {
     if (journal) journal->Emit(std::move(e));
   };
-  // Metrics snapshots ride the journal as events whose detail is the full
-  // registry JSON, emitted only at points where no other thread mutates the
-  // (deliberately lock-free) registry: after the cache check, after the
-  // golden run, under the checkpoint mutex, and after the post-join replay.
-  // The status server serves the latest one as /metrics; the JSONL file
-  // sink skips them.
-  auto emit_metrics_snapshot = [&] {
-    if (!journal || !metrics) return;
-    std::ostringstream os;
-    metrics->WriteJson(os);
-    obs::Event e;
-    e.kind = obs::EventKind::kMetricsSnapshot;
-    e.detail = os.str();
-    journal->Emit(std::move(e));
-  };
-  // Campaign-finish bookkeeping shared by the cache-hit and live paths: a
-  // final metrics snapshot, the finish event, then a drain so the journal
-  // (including the --progress summary line) is complete before RunCampaign
-  // returns — also on interruption. The finish event carries the number of
-  // events the (shared, possibly pre-used) journal shed to backpressure
-  // during THIS campaign, so lossy telemetry is self-reporting.
+  // Campaign-finish bookkeeping shared by the cache-hit and live paths: the
+  // finish event, then a drain so the journal (including the --progress
+  // summary line) is complete before RunCampaign returns — also on
+  // interruption. The finish event carries the number of events the
+  // (shared, possibly pre-used) journal shed to backpressure during THIS
+  // campaign, so lossy telemetry is self-reporting.
   const std::uint64_t dropped_before = journal ? journal->dropped() : 0;
   auto finish_journal = [&](std::uint64_t kept, bool interrupted) {
     if (!journal) return;
     const std::uint64_t dropped = journal->dropped() - dropped_before;
     if (metrics && dropped)
       metrics->GetCounter("campaign.events.dropped").Inc(dropped);
-    emit_metrics_snapshot();
     obs::Event e;
     e.kind = obs::EventKind::kCampaignFinish;
     e.value = kept;
@@ -365,7 +349,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
     e.value = golden->checkpoints.size();
     emit(std::move(e));
   }
-  emit_metrics_snapshot();
 
   result.golden_ipc = golden->stats.Ipc();
   result.golden_bp_accuracy =
@@ -495,10 +478,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
         e.value = ckpt_flushed;
         journal->Emit(std::move(e));
       }
-      // Safe snapshot point: ckpt_mu serializes flushes, and the flushing
-      // worker is the only thread touching the registry mid-loop (trial
-      // cores carry no sinks; golden-run instruments are quiescent).
-      emit_metrics_snapshot();
     }
   };
 

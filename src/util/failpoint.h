@@ -27,8 +27,6 @@
 //   ckpt.load            LoadCampaignCheckpoint (fires = no resume data)
 //   ckpt.store           StoreCampaignCheckpoint's write attempt (retried)
 //   events.jsonl.write   JsonlEventSink::OnEvent (fires = stream failure)
-//   http.accept          status-server accept loop (fires = drop connection)
-//   http.write           status-server response write (fires = drop reply)
 //   trial.cycle          TrialRunner's cycle loop, every 256 cycles (kDelay
 //                        here simulates a wedged core for watchdog tests)
 #pragma once

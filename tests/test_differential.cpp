@@ -71,25 +71,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MemWidthsDifferential,
 // Direct regressions for the forwarding bugs found by the 200-seed sweep:
 // these exact (shape, seed) pairs retired stale load values before the
 // store-buffer-forward and SQ-slot-reuse shadow fixes in Core.
+// The test names are gtest's byte dump of this struct, so it has no padding:
+// padding bytes are uninitialised and would change the names from one test
+// listing to the next.
 struct RegressionCase {
-  FuzzShape shape;
-  int seed_base;
+  std::int32_t shape;  // a FuzzShape
+  std::int32_t seed_base;
 };
+static_assert(sizeof(RegressionCase) == 2 * sizeof(std::int32_t),
+              "RegressionCase must have no padding bytes");
+
+constexpr RegressionCase Case(FuzzShape shape, std::int32_t seed_base) {
+  return RegressionCase{static_cast<std::int32_t>(shape), seed_base};
+}
 
 class ForwardShadowRegression
     : public ::testing::TestWithParam<RegressionCase> {};
 TEST_P(ForwardShadowRegression, NoStaleForwardedLoads) {
-  RunShapeCase(GetParam().shape, GetParam().seed_base);
+  RunShapeCase(static_cast<FuzzShape>(GetParam().shape),
+               GetParam().seed_base);
 }
 INSTANTIATE_TEST_SUITE_P(
     FuzzFound, ForwardShadowRegression,
-    ::testing::Values(RegressionCase{FuzzShape::kStoreHeavy, 8},
-                      RegressionCase{FuzzShape::kStoreHeavy, 68},
-                      RegressionCase{FuzzShape::kStoreHeavy, 77},
-                      RegressionCase{FuzzShape::kStoreHeavy, 120},
-                      RegressionCase{FuzzShape::kMemWidths, 57},
-                      RegressionCase{FuzzShape::kMemWidths, 153},
-                      RegressionCase{FuzzShape::kMixed, 48}));
+    ::testing::Values(Case(FuzzShape::kStoreHeavy, 8),
+                      Case(FuzzShape::kStoreHeavy, 68),
+                      Case(FuzzShape::kStoreHeavy, 77),
+                      Case(FuzzShape::kStoreHeavy, 120),
+                      Case(FuzzShape::kMemWidths, 57),
+                      Case(FuzzShape::kMemWidths, 153),
+                      Case(FuzzShape::kMixed, 48)));
 
 // The shrinker itself: block masks must compose into valid programs (every
 // block is self-contained by construction).

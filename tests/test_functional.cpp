@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "arch/functional_sim.h"
 #include "arch/syscall.h"
 #include "isa/assemble.h"
@@ -151,6 +153,10 @@ struct ExcCase {
   const char* src;
   Exception want;
 };
+
+// gtest would otherwise name each case by a byte dump of the struct, which
+// holds the addresses of the two strings and so changes from run to run.
+void PrintTo(const ExcCase& c, std::ostream* os) { *os << c.name; }
 
 class ExceptionTest : public ::testing::TestWithParam<ExcCase> {};
 
