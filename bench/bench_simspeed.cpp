@@ -25,12 +25,28 @@ const Program& GzipProgram() {
   return p;
 }
 
+// Bare pipeline cycles. Nothing reads a state hash here, so the registry's
+// lazily folded hashes cost nothing — a golden warm-up's profile.
 void BM_CoreCycle(benchmark::State& state) {
   Core core(CoreConfig{}, GzipProgram());
   for (auto _ : state) core.Cycle();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CoreCycle);
+
+// Cycles plus the hash reads golden recording and every trial make each
+// cycle (whole-machine and per-category): the ratio to BM_CoreCycle is the
+// state-hash tax.
+void BM_CoreCycleHashed(benchmark::State& state) {
+  Core core(CoreConfig{}, GzipProgram());
+  for (auto _ : state) {
+    core.Cycle();
+    benchmark::DoNotOptimize(core.StateHash());
+    benchmark::DoNotOptimize(core.registry().CatHashes());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CoreCycleHashed);
 
 // Same loop with the per-cycle invariant checker attached — the ratio to
 // BM_CoreCycle is the cost of running self-checked (`tfi campaign --check`).

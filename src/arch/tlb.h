@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 namespace tfsim {
 
@@ -25,6 +26,13 @@ class Tlb {
 
   std::size_t InsnPages() const { return ipages_.size(); }
   std::size_t DataPages() const { return dpages_.size(); }
+
+  // The learned page indices (addr / kPageBytes), sorted, and their
+  // re-insertion: how a persisted golden warm-up carries its TLB contents.
+  std::vector<std::uint64_t> InsnPageList() const;
+  std::vector<std::uint64_t> DataPageList() const;
+  void AddPages(const std::vector<std::uint64_t>& insn,
+                const std::vector<std::uint64_t>& data);
 
  private:
   bool Lookup(std::unordered_set<std::uint64_t>& pages, std::uint64_t addr);

@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -20,6 +21,7 @@ namespace {
 
 constexpr const char* kMagicV2 = "tfi-cache v2";
 constexpr const char* kCkptMagic = "tfi-ckpt v1";
+constexpr const char* kWarmMagic = "tfi-warm v1";
 
 // --- record serialization ----------------------------------------------------
 
@@ -152,6 +154,119 @@ bool StoreEnvelope(const std::filesystem::path& path, const char* magic,
   return false;
 }
 
+// --- warm-start serialization -----------------------------------------------
+//
+// Binary payload: every scalar as a little-endian u64 (bytes as one byte),
+// every vector as its length then its elements, in WarmStartFields order.
+
+struct PayloadWriter {
+  std::string out;
+  void Field(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  void Field(std::uint8_t v) { out.push_back(static_cast<char>(v)); }
+  void Field(bool v) { Field(static_cast<std::uint64_t>(v)); }
+  void Field(Exception v) { Field(static_cast<std::uint64_t>(v)); }
+  template <typename A, typename B>
+  void Field(const std::pair<A, B>& p) {
+    Field(static_cast<std::uint64_t>(p.first));
+    Field(static_cast<std::uint64_t>(p.second));
+  }
+  template <typename T>
+  void Field(const std::vector<T>& v) {
+    Field(static_cast<std::uint64_t>(v.size()));
+    for (const T& e : v) Field(e);
+  }
+};
+
+struct PayloadReader {
+  std::string_view in;
+  bool ok = true;
+
+  std::uint64_t U64() {
+    if (in.size() < 8) {
+      ok = false;
+      return 0;
+    }
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[i]))
+           << (8 * i);
+    in.remove_prefix(8);
+    return v;
+  }
+  void Field(std::uint64_t& v) { v = U64(); }
+  void Field(std::uint32_t& v) {
+    const std::uint64_t x = U64();
+    if (x > 0xffffffffULL) ok = false;
+    v = static_cast<std::uint32_t>(x);
+  }
+  void Field(bool& v) {
+    const std::uint64_t x = U64();
+    if (x > 1) ok = false;
+    v = x != 0;
+  }
+  void Field(Exception& v) {
+    const std::uint64_t x = U64();
+    if (x > 0xff) ok = false;
+    v = static_cast<Exception>(x);
+  }
+  void Field(std::uint8_t& v) {
+    if (in.empty()) {
+      ok = false;
+      return;
+    }
+    v = static_cast<std::uint8_t>(in.front());
+    in.remove_prefix(1);
+  }
+  template <typename A, typename B>
+  void Field(std::pair<A, B>& p) {
+    Field(p.first);
+    Field(p.second);
+  }
+  template <typename T>
+  void Field(std::vector<T>& v) {
+    const std::uint64_t n = U64();
+    // Every element takes at least one byte: a larger count is corrupt.
+    if (!ok || n > in.size()) {
+      ok = false;
+      return;
+    }
+    v.resize(n);
+    for (T& e : v) Field(e);
+  }
+};
+
+// The one field list both directions walk; W is GoldenWarmStart, const when
+// writing.
+template <typename IO, typename W>
+void WarmStartFields(IO& io, W& w) {
+  io.Field(w.warmup);
+  auto& s = w.stats;
+  for (auto* f : {&s.cycles, &s.retired, &s.branches, &s.mispredicts,
+                  &s.loads, &s.dcache_misses, &s.replays, &s.wakeup_replays,
+                  &s.order_violations, &s.full_flushes, &s.timeout_flushes,
+                  &s.parity_flushes})
+    io.Field(*f);
+  io.Field(w.itlb_pages);
+  io.Field(w.dtlb_pages);
+  io.Field(w.retire_gap);
+  io.Field(w.max_retire_gap);
+  auto& d = w.delta;
+  io.Field(d.words);
+  io.Field(d.mem);
+  io.Field(d.output);
+  io.Field(d.out_hash);
+  io.Field(d.exited);
+  io.Field(d.exit_code);
+  io.Field(d.halted_exc);
+  io.Field(d.retired_total);
+  io.Field(d.seq_counter);
+  for (auto* v : {&d.fq_seq, &d.fb_seq, &d.d1_seq, &d.d2_seq, &d.rob_seq})
+    io.Field(*v);
+  io.Field(d.inflight);
+}
+
 }  // namespace
 
 std::string CacheDir() {
@@ -189,6 +304,41 @@ bool StoreCachedCampaign(const CampaignResult& result,
       std::filesystem::path(CacheDir()) / (result.spec.CacheKey() + ".txt");
   return StoreEnvelope(path, kMagicV2, SerializeResultPayload(result),
                        "cache.store", "campaign.cache.store_failures",
+                       metrics);
+}
+
+// --- golden warm starts -----------------------------------------------------
+
+std::string GoldenWarmStartPath(const CampaignSpec& spec) {
+  return (std::filesystem::path(CacheDir()) / (spec.WarmStartKey() + ".warm"))
+      .string();
+}
+
+std::optional<GoldenWarmStart> LoadGoldenWarmStart(const CampaignSpec& spec) {
+  if (fail::FailHere("cache.load")) return std::nullopt;
+  std::ifstream in(GoldenWarmStartPath(spec), std::ios::binary);
+  if (!in) return std::nullopt;
+  std::string magic;
+  std::getline(in, magic);
+  if (magic != kWarmMagic) return std::nullopt;
+  const auto payload = ReadChecksummed(in);
+  if (!payload) return std::nullopt;
+  PayloadReader reader{*payload};
+  GoldenWarmStart warm;
+  WarmStartFields(reader, warm);
+  // A warm-up never exits or raises (WarmUpGolden throws instead).
+  if (!reader.ok || !reader.in.empty() || warm.warmup != spec.golden.warmup ||
+      warm.delta.exited || warm.delta.halted_exc != Exception::kNone)
+    return std::nullopt;
+  return warm;
+}
+
+bool StoreGoldenWarmStart(const CampaignSpec& spec, const GoldenWarmStart& warm,
+                          obs::MetricsRegistry* metrics) {
+  PayloadWriter writer;
+  WarmStartFields(writer, warm);
+  return StoreEnvelope(GoldenWarmStartPath(spec), kWarmMagic, writer.out,
+                       "cache.store", "campaign.cache.warm_store_failures",
                        metrics);
 }
 

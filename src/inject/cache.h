@@ -1,4 +1,5 @@
-// On-disk campaign results cache and checkpoint journals.
+// On-disk campaign results cache, golden warm starts and checkpoint
+// journals.
 //
 // Several paper figures derive from the same campaign (Figures 3/4/7/8 share
 // the latches+RAMs baseline campaign), and each bench binary regenerates one
@@ -12,6 +13,13 @@
 // checksum, length or structure do not verify are treated as absent (the
 // campaign re-runs cleanly), as are files with any other magic (the legacy
 // "tfi-cache v1" format included).
+//
+// Golden warm starts ("<CampaignSpec::WarmStartKey()>.warm", magic
+// "tfi-warm v1", same checksummed-atomic envelope around a binary payload)
+// hold the machine after a golden run's detailed warm-up. Their key covers
+// only the machine, the program and the warm-up length, so the l and l+r
+// campaigns of a workload (and every seed and trial count) simulate the
+// warm-up once between them.
 //
 // Checkpoint journals ("<key>.ckpt", same checksummed-atomic envelope) hold
 // the contiguous completed-trial prefix of an in-flight campaign, flushed
@@ -38,6 +46,24 @@ std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec);
 // Chaos sites: `cache.store` per attempt, `fs.atomic_write` underneath.
 bool StoreCachedCampaign(const CampaignResult& result,
                          obs::MetricsRegistry* metrics = nullptr);
+
+// --- golden warm starts -----------------------------------------------------
+
+// Loads the warm start for `spec`, if a valid one exists: a file that fails
+// its checksum, has another magic, or does not parse to spec.golden.warmup
+// cycles of a running machine is a miss (RunCampaign also treats a delta
+// that does not fit the core, Core::DeltaFits, as one). Chaos site:
+// `cache.load`.
+std::optional<GoldenWarmStart> LoadGoldenWarmStart(const CampaignSpec& spec);
+
+// Stores the warm start for `spec` (best-effort, retried like the results
+// store; final failures increment `campaign.cache.warm_store_failures`).
+// Chaos site: `cache.store` per attempt.
+bool StoreGoldenWarmStart(const CampaignSpec& spec, const GoldenWarmStart& warm,
+                          obs::MetricsRegistry* metrics = nullptr);
+
+// Warm-start path for `spec` (exposed for tests and diagnostics).
+std::string GoldenWarmStartPath(const CampaignSpec& spec);
 
 // --- checkpoint journal ------------------------------------------------------
 

@@ -29,12 +29,19 @@
 
 namespace tfsim {
 
-std::string CampaignSpec::CacheKey() const {
-  // Versioned content hash over everything that affects results. Bump the
-  // salt when the model or classifier changes behaviour.
-  constexpr std::uint64_t kVersionSalt = 10;  // 10: geometry hashed (two
-                                              // specs differing only in core
-                                              // shape used to collide)
+namespace {
+
+// Versioned content hash salt. Bump it when the model or classifier changes
+// behaviour: it invalidates cached results and golden warm starts alike.
+constexpr std::uint64_t kVersionSalt = 10;  // 10: geometry hashed (two
+                                            // specs differing only in core
+                                            // shape used to collide)
+
+// Hash of what defines the simulated machine and its program: the workload
+// name, the protection mechanisms and every geometry field. The core shape
+// defines the injectable bit space, so two specs differing in any size must
+// never share a cache entry. Both cache keys start from this.
+std::uint64_t MachineHash(const std::string& workload, const CoreConfig& core) {
   std::uint64_t h = Mix64(kVersionSalt);
   for (char c : workload) h = Mix64(h ^ static_cast<std::uint64_t>(c));
   const auto& p = core.protect;
@@ -42,8 +49,6 @@ std::string CampaignSpec::CacheKey() const {
                  static_cast<std::uint64_t>(p.regfile_ecc) << 1 |
                  static_cast<std::uint64_t>(p.regptr_ecc) << 2 |
                  static_cast<std::uint64_t>(p.insn_parity) << 3));
-  // Every geometry field: the core shape defines the injectable bit space,
-  // so two campaigns differing in any size must never share a cache entry.
   for (int g : {core.fetch_width, core.fetch_queue, core.ras_entries,
                 core.btb_sets, core.btb_ways, core.icache_bytes,
                 core.icache_ways, core.line_bytes, core.decode_width,
@@ -53,6 +58,15 @@ std::string CampaignSpec::CacheKey() const {
                 core.mshrs, core.miss_cycles, core.dcache_latency,
                 core.rob_entries, core.retire_width, core.timeout_cycles})
     h = Mix64(h ^ static_cast<std::uint64_t>(g));
+  return h;
+}
+
+}  // namespace
+
+std::string CampaignSpec::CacheKey() const {
+  // Versioned content hash over everything that affects results.
+  std::uint64_t h = MachineHash(workload, core);
+  const auto& p = core.protect;
   h = Mix64(h ^ static_cast<std::uint64_t>(include_ram));
   h = Mix64(h ^ static_cast<std::uint64_t>(trials));
   h = Mix64(h ^ golden.warmup);
@@ -68,6 +82,13 @@ std::string CampaignSpec::CacheKey() const {
              ? "_prot"
              : "_base")
      << "_" << std::hex << h;
+  return os.str();
+}
+
+std::string CampaignSpec::WarmStartKey() const {
+  const std::uint64_t h = Mix64(MachineHash(workload, core) ^ golden.warmup);
+  std::ostringstream os;
+  os << workload << "_warm_" << std::hex << h;
   return os.str();
 }
 
@@ -340,8 +361,25 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   {
     std::optional<obs::ScopedTimer> timed;
     if (metrics) timed.emplace(metrics->GetTimer("campaign.golden_record"));
+    // The golden warm-up depends only on the machine, the program and its
+    // length (CampaignSpec::WarmStartKey), so campaigns sharing those share
+    // one through the cache directory. Observed runs always simulate theirs,
+    // so the occupancy histograms and pipeline counters cover the whole
+    // golden run; they may still store it for later runs.
+    std::optional<GoldenWarmStart> warm;
+    if (opt.use_cache && !opt.obs.sinks.Any())
+      warm = LoadGoldenWarmStart(spec);
+    if (warm && !probe.DeltaFits(warm->delta)) warm.reset();
+    if (warm && opt.verbose)
+      std::fprintf(stderr, "[campaign %s] golden warm-up loaded from cache\n",
+                   key.c_str());
+    if (!warm) {
+      warm = WarmUpGolden(spec.core, program, spec.golden.warmup,
+                          &opt.obs.sinks);
+      if (opt.use_cache) StoreGoldenWarmStart(spec, *warm, metrics);
+    }
     golden = RecordGolden(spec.core, program, spec.golden, &opt.obs.sinks,
-                          fast ? &plan : nullptr);
+                          fast ? &plan : nullptr, &*warm);
   }
   {
     obs::Event e;

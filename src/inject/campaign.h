@@ -33,6 +33,11 @@ struct CampaignSpec {
 
   // Stable key for the on-disk results cache.
   std::string CacheKey() const;
+  // Stable key for the golden warm start (inject/cache.h). It hashes only
+  // what the warm-up depends on — workload, protection, geometry and
+  // golden.warmup — so campaigns that differ in population, trials, seed,
+  // flips or the recorded window share one.
+  std::string WarmStartKey() const;
 };
 
 // Optional observability for a campaign run. All members may be left at

@@ -1,6 +1,7 @@
 #include "inject/golden.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,20 +18,103 @@ std::uint32_t GoldenTimeline::ValidInstrsAt(std::size_t cycle_index) const {
   return n;
 }
 
+namespace {
+
+// Advances a golden core one cycle and checks it: a fault-free run must
+// never raise, exit or fetch an unmapped page, and its retire stream must
+// equal the functional simulator's instruction for instruction. Also tracks
+// retire-less runs for the locked-pipeline check.
+struct GoldenStepper {
+  Core& core;
+  FunctionalSim& ref;
+  std::uint64_t gap = 0;
+  std::uint64_t max_gap = 0;
+
+  void Step() {
+    core.Cycle();
+    if (core.halted_exception() != Exception::kNone || core.itlb_miss() ||
+        core.exited()) {
+      std::ostringstream os;
+      os << "golden run failed at cycle " << core.stats().cycles << ": "
+         << (core.exited() ? "program exited inside the window"
+                           : ExceptionName(core.halted_exception()));
+      throw std::runtime_error(os.str());
+    }
+    for (const RetireEvent& ev : core.RetiredThisCycle()) {
+      const RetireEvent want = ref.Step();
+      if (!(ev == want)) {
+        throw std::runtime_error("golden co-simulation mismatch:\n  core: " +
+                                 ToString(ev) + "\n  ref : " + ToString(want));
+      }
+    }
+    gap = core.RetiredThisCycle().empty() ? gap + 1 : 0;
+    if (gap > max_gap) max_gap = gap;
+  }
+};
+
+}  // namespace
+
+GoldenWarmStart WarmUpGolden(const CoreConfig& cfg, const Program& program,
+                             std::uint64_t warmup,
+                             const obs::ObsSinks* obs) {
+  Core core(cfg, program);
+  const Core::Snapshot fresh = core.Save();
+  FunctionalSim ref(program);
+  core.tlb().SetLearning(true);
+  core.AttachObs(obs);
+  GoldenStepper stepper{core, ref};
+  // No hash is read here, so the registry's lazy folding makes these cycles
+  // hash-free.
+  for (std::uint64_t c = 0; c < warmup; ++c) stepper.Step();
+
+  GoldenWarmStart warm;
+  warm.warmup = warmup;
+  warm.delta = core.SaveDelta(fresh);
+  warm.stats = core.stats();
+  warm.itlb_pages = core.tlb().InsnPageList();
+  warm.dtlb_pages = core.tlb().DataPageList();
+  warm.retire_gap = stepper.gap;
+  warm.max_retire_gap = stepper.max_gap;
+  core.FlushObsCounters();
+  return warm;
+}
+
 std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
                                               const Program& program,
                                               const GoldenSpec& spec,
                                               const obs::ObsSinks* obs,
-                                              const FastPathPlan* fastpath) {
+                                              const FastPathPlan* fastpath,
+                                              const GoldenWarmStart* warm) {
+  std::optional<GoldenWarmStart> computed;
+  if (warm == nullptr) {
+    computed = WarmUpGolden(cfg, program, spec.warmup, obs);
+    warm = &*computed;
+  } else if (warm->warmup != spec.warmup) {
+    throw std::invalid_argument("golden warm start has the wrong warm-up");
+  }
+
   auto run = std::make_shared<GoldenRun>();
   run->cfg = cfg;
   run->program = program;
   run->spec = spec;
 
+  // Resume the warmed-up machine on a fresh core. The statistics carry on
+  // from the warm-up, and attaching obs afterwards leaves the warm-up's
+  // counters to the core that flushed them.
   Core core(cfg, program);
-  FunctionalSim ref(program);
+  if (!core.DeltaFits(warm->delta))
+    throw std::invalid_argument("golden warm start does not fit this core");
+  core.ApplyDelta(warm->delta);
+  core.stats() = warm->stats;
   core.tlb().SetLearning(true);
+  core.tlb().AddPages(warm->itlb_pages, warm->dtlb_pages);
   core.AttachObs(obs);
+  // The co-simulation reference is cheap to rebuild: re-execute the
+  // instructions the warm-up retired.
+  FunctionalSim ref(program);
+  if (ref.Run(warm->delta.retired_total) != warm->delta.retired_total)
+    throw std::runtime_error("golden warm start retired past program end");
+  GoldenStepper stepper{core, ref, warm->retire_gap, warm->max_retire_gap};
 
   const std::uint64_t record_cycles =
       static_cast<std::uint64_t>(spec.points - 1) * spec.spacing +
@@ -57,37 +141,12 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
     tracker->Seal();
   }
 
-  std::uint64_t max_retire_gap = 0;
-  std::uint64_t gap = 0;
-
-  auto step = [&](bool recording, std::uint64_t rel_cycle) {
-    const bool track = recording && tracker != nullptr && !tracker->Done();
-    if (track) {
+  auto step = [&](std::uint64_t rel_cycle) {
+    if (tracker != nullptr && !tracker->Done()) {
       tracker->SetCycle(rel_cycle);
       core.registry().SetAccessTracker(tracker.get());
     }
-    core.Cycle();
-    if (core.halted_exception() != Exception::kNone || core.itlb_miss() ||
-        core.exited()) {
-      std::ostringstream os;
-      os << "golden run failed at cycle " << core.stats().cycles << ": "
-         << (core.exited() ? "program exited inside the window"
-                           : ExceptionName(core.halted_exception()));
-      throw std::runtime_error(os.str());
-    }
-    // Co-simulation: the pipeline's retire stream must equal the functional
-    // simulator's execution instruction-for-instruction.
-    for (const RetireEvent& ev : core.RetiredThisCycle()) {
-      const RetireEvent want = ref.Step();
-      if (!(ev == want)) {
-        throw std::runtime_error("golden co-simulation mismatch:\n  core: " +
-                                 ToString(ev) + "\n  ref : " + ToString(want));
-      }
-    }
-    gap = core.RetiredThisCycle().empty() ? gap + 1 : 0;
-    if (gap > max_retire_gap) max_retire_gap = gap;
-
-    if (!recording) return;
+    stepper.Step();
     tl.state_hash.push_back(core.StateHash());
     tl.cat_hash.push_back(core.registry().CatHashes());
     // ArchViewHash runs with the tracker still installed: its reads mirror
@@ -109,7 +168,6 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
     }
   };
 
-  for (std::uint64_t c = 0; c < spec.warmup; ++c) step(false, 0);
   tl.base_retired = core.RetiredTotal();
 
   std::size_t next_point = 0;
@@ -133,10 +191,10 @@ std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
         ++next_point;
       }
     }
-    step(true, c);
+    step(c);
   }
 
-  if (max_retire_gap >= static_cast<std::uint64_t>(kLockedThresholdCycles))
+  if (stepper.max_gap >= static_cast<std::uint64_t>(kLockedThresholdCycles))
     throw std::runtime_error(
         "golden run stalled past the locked-detection threshold");
 

@@ -2,7 +2,9 @@
 // detailed pipeline, co-verified against the functional simulator, with
 // per-cycle machine-state hashes, the retire-event stream, architectural
 // view samples, checkpoints for trial start points, and the valid-in-flight
-// instrumentation behind Figure 6.
+// instrumentation behind Figure 6. The detailed warm-up before the first
+// checkpoint is a separate, persistable step (GoldenWarmStart), so
+// campaigns on the same machine and program simulate it once.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +109,29 @@ struct GoldenRun {
   CoreStats stats;  // golden pipeline statistics (IPC etc.)
 };
 
+// The machine after a golden run's detailed warm-up: everything recording
+// needs to continue exactly where a continuous run would be. It depends only
+// on (CoreConfig geometry + protection, program, warm-up length), so every
+// injection population (l, l+r), seed and trial count of a workload shares
+// one; RunCampaign keeps it in the results cache (inject/cache.h).
+struct GoldenWarmStart {
+  std::uint64_t warmup = 0;   // cycles simulated (GoldenSpec::warmup)
+  Core::SnapshotDelta delta;  // machine state vs a freshly constructed Core
+  CoreStats stats;            // pipeline statistics of the warm-up cycles
+  // TLB pages learned so far (sorted page indices).
+  std::vector<std::uint64_t> itlb_pages, dtlb_pages;
+  std::uint64_t retire_gap = 0;      // retire-less cycles at the end
+  std::uint64_t max_retire_gap = 0;  // longest retire-less run so far
+};
+
+// Simulates the first `warmup` cycles of a golden run, co-verified against
+// the functional simulator; throws std::runtime_error exactly as
+// RecordGolden does. When `obs` is non-null its sinks observe the warm-up
+// cycles (occupancy samples, CoreStats counters), as in RecordGolden.
+GoldenWarmStart WarmUpGolden(const CoreConfig& cfg, const Program& program,
+                             std::uint64_t warmup,
+                             const obs::ObsSinks* obs = nullptr);
+
 // Records a golden run. Throws std::runtime_error if the pipeline diverges
 // from the functional simulator, raises an exception, or deadlocks — any of
 // which would indicate a model bug, not a valid golden execution. When `obs`
@@ -115,13 +140,15 @@ struct GoldenRun {
 // trace's pipeline lane. When `fastpath` is non-null the recorder
 // additionally captures injection-cycle snapshots and first-access data for
 // the trial fast path (GoldenRun::fastpath); recording output is otherwise
-// unchanged.
-std::shared_ptr<const GoldenRun> RecordGolden(const CoreConfig& cfg,
-                                              const Program& program,
-                                              const GoldenSpec& spec,
-                                              const obs::ObsSinks* obs =
-                                                  nullptr,
-                                              const FastPathPlan* fastpath =
-                                                  nullptr);
+// unchanged. Recording always starts from a warm start: `warm` when given
+// (it must come from WarmUpGolden on the same cfg, program and
+// spec.warmup; a different warm-up length or core shape throws
+// std::invalid_argument),
+// otherwise one computed here with `obs` attached. The run is the same
+// either way, bit for bit; only a computed warm-up feeds `obs`.
+std::shared_ptr<const GoldenRun> RecordGolden(
+    const CoreConfig& cfg, const Program& program, const GoldenSpec& spec,
+    const obs::ObsSinks* obs = nullptr, const FastPathPlan* fastpath = nullptr,
+    const GoldenWarmStart* warm = nullptr);
 
 }  // namespace tfsim

@@ -133,14 +133,17 @@ AluResult ExecuteAlu(const DecodedInst& d, std::uint64_t a, std::uint64_t b) {
               Exception::kNone};
     case Op::kSextl:
       return {static_cast<std::uint64_t>(Sext32(b)), Exception::kNone};
+    // Wrapping sums in unsigned arithmetic (signed overflow would be UB);
+    // the sign test then detects the overflow. INT64_MIN traps before it
+    // is negated.
     case Op::kAddv: {
-      const std::int64_t sum = sa + sb;
+      const std::int64_t sum = static_cast<std::int64_t>(a + b);
       if (AddOverflows(sa, sb, sum)) return {0, Exception::kOverflow};
       return {static_cast<std::uint64_t>(sum), Exception::kNone};
     }
     case Op::kSubv: {
-      const std::int64_t diff = sa - sb;
-      if (AddOverflows(sa, -sb, diff) || sb == INT64_MIN)
+      const std::int64_t diff = static_cast<std::int64_t>(a - b);
+      if (sb == INT64_MIN || AddOverflows(sa, -sb, diff))
         return {0, Exception::kOverflow};
       return {static_cast<std::uint64_t>(diff), Exception::kNone};
     }

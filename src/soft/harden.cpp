@@ -502,8 +502,11 @@ HardenPlan PlanHarden(const AsmProgram& orig, const Cfg& cfg,
                                            12, 11, 10, 9,  8,  7,  6,  5,
                                            4,  3,  2,  1};
   std::vector<std::uint8_t*> roles;
+  // push_back, not insert(initializer_list): GCC 12 under -fsanitize=thread
+  // reports a false -Wstringop-overflow on the range insert.
   if (plan.Dup())
-    roles.insert(roles.end(), {&plan.sb, &plan.s1, &plan.s2, &plan.s3});
+    for (std::uint8_t* r : {&plan.sb, &plan.s1, &plan.s2, &plan.s3})
+      roles.push_back(r);
   if (plan.Cfc()) roles.push_back(&plan.g);
   roles.push_back(&plan.t);
   std::size_t next = 0;

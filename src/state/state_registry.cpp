@@ -119,6 +119,7 @@ StateField StateRegistry::Allocate(std::string name, StateCat cat,
   f.site_line = site.line();
   words_.resize(words_.size() + count, 0);
   word_cat_.resize(words_.size(), static_cast<std::uint8_t>(cat));
+  if (!folded_) dirty_.resize(words_.size(), 0);
   fields_.push_back(f);
 
   StateField h;
@@ -132,12 +133,27 @@ StateField StateRegistry::Allocate(std::string name, StateCat cat,
   return h;
 }
 
-void StateRegistry::UpdateHash(std::size_t word_index, std::uint64_t before,
+void StateRegistry::FoldPending() const {
+  for (const PendingWord& p : pending_) {
+    const std::uint64_t now = words_[p.word];
+    if (now == p.before) continue;  // changed and changed back
+    const std::uint64_t delta =
+        Contribution(p.word, p.before) ^ Contribution(p.word, now);
+    hash_ ^= delta;
+    cat_hash_[word_cat_[p.word]] ^= delta;
+  }
+  // Writes update the hashes directly from here on; the log is done with.
+  pending_ = {};
+  dirty_ = {};
+  folded_ = true;
+}
+
+void StateRegistry::UpdateHash(std::size_t word, std::uint64_t before,
                                std::uint64_t after) {
   const std::uint64_t delta =
-      Contribution(word_index, before) ^ Contribution(word_index, after);
+      Contribution(word, before) ^ Contribution(word, after);
   hash_ ^= delta;
-  cat_hash_[word_cat_[word_index]] ^= delta;
+  cat_hash_[word_cat_[word]] ^= delta;
 }
 
 std::uint64_t StateRegistry::RecomputeHash() const {
@@ -192,8 +208,8 @@ void StateRegistry::FlipBit(const BitLocation& loc) {
   const std::size_t w = f.offset + loc.element;
   const std::uint64_t before = words_[w];
   const std::uint64_t after = before ^ (1ULL << loc.bit);
+  Changed(w, before, after);
   words_[w] = after;
-  UpdateHash(w, before, after);
 }
 
 bool StateRegistry::ReadBit(const BitLocation& loc) const {
@@ -205,7 +221,7 @@ void StateRegistry::Restore(const std::vector<std::uint64_t>& snapshot) {
   if (snapshot.size() != words_.size())
     throw std::invalid_argument("snapshot size mismatch");
   for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != snapshot[w]) UpdateHash(w, words_[w], snapshot[w]);
+    if (words_[w] != snapshot[w]) Changed(w, words_[w], snapshot[w]);
   }
   words_ = snapshot;
 }

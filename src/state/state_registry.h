@@ -15,10 +15,14 @@
 //     is no hidden shadow copy — so a flipped bit genuinely alters behaviour.
 //   * A fault injection picks a bit uniformly over the eligible fields
 //     (latches only, or latches+RAMs, per experiment) and flips it.
-//   * The registry maintains an order-independent incremental content hash,
-//     updated O(1) per write. Combined with Memory::ContentHash() this gives
-//     the per-cycle whole-machine state-equality test behind the paper's
-//     "μArch Match" outcome at negligible cost.
+//   * The registry maintains an order-independent content hash. Until its
+//     first hash read a write only logs a word's first change, and that read
+//     folds the log in; from then on every write updates the hashes at once
+//     (a registry that has been read, as in golden recording and trials, is
+//     read every cycle). Combined with Memory::ContentHash() this gives the
+//     per-cycle whole-machine state-equality test behind the paper's "μArch
+//     Match" outcome, and a machine whose hash nobody reads (a golden
+//     warm-up) pays no hashing.
 //   * Snapshot/Restore copies the whole word store, the basis of the
 //     checkpoint-per-start-point methodology.
 #pragma once
@@ -130,14 +134,15 @@ class WordFirstAccessTracker {
 };
 
 // Lightweight handle to an allocated field. Reads are direct; writes go
-// through Set() so the registry's incremental hash stays consistent.
+// through Set() so the registry's hashes stay consistent.
 class StateField {
  public:
   StateField() = default;
 
   // Defined inline below StateRegistry: reads and the no-change write
   // fast path stay in the caller (the per-cycle invariant checker makes
-  // hundreds of reads per cycle; only real writes pay the hash update).
+  // hundreds of reads per cycle; only real writes reach the hash
+  // maintenance).
   std::uint64_t Get(std::size_t i) const;
   void Set(std::size_t i, std::uint64_t value);
 
@@ -198,22 +203,33 @@ class StateRegistry {
                       std::source_location site =
                           std::source_location::current());
 
-  // Incremental content hash over every registered word (background
-  // included). O(1) to read.
-  std::uint64_t Hash() const { return hash_; }
+  // Content hash over every registered word (background included); always
+  // equals RecomputeHash(). The first read folds in the words logged since
+  // allocation (each once, however often written) and switches the registry
+  // to updating its hashes on every write, so later reads are O(1). That
+  // first fold mutates logically-const state: a registry must be read and
+  // written by one thread at a time (each campaign worker owns its Core).
+  std::uint64_t Hash() const {
+    Fold();
+    return hash_;
+  }
 
-  // Per-category incremental content hash (same contribution function as
-  // Hash(), partitioned by the owning field's StateCat). Comparing these
-  // against a golden run's at the same cycle tells WHICH structures hold
-  // divergent state — the basis of fault-propagation tracing. O(1) to read;
-  // maintenance piggybacks on the existing per-write hash update.
+  // Per-category content hash (same contribution function as Hash(),
+  // partitioned by the owning field's StateCat, folded by the same pass).
+  // Comparing these against a golden run's at the same cycle tells WHICH
+  // structures hold divergent state — the basis of fault-propagation
+  // tracing.
   std::uint64_t CatHash(StateCat cat) const {
+    Fold();
     return cat_hash_[static_cast<std::size_t>(cat)];
   }
   using CatHashArray = std::array<std::uint64_t, kNumStateCats>;
-  const CatHashArray& CatHashes() const { return cat_hash_; }
+  const CatHashArray& CatHashes() const {
+    Fold();
+    return cat_hash_;
+  }
 
-  // Full recomputation; used by tests to validate the incremental hash.
+  // Full recomputation; used by tests to validate the maintained hashes.
   std::uint64_t RecomputeHash() const;
   CatHashArray RecomputeCatHashes() const;
 
@@ -274,13 +290,13 @@ class StateRegistry {
   }
 
   // Overwrites one word with a value captured from another registry of the
-  // same layout, keeping the incremental hashes consistent. Values must
-  // already be masked (they are, if they came from WordsData()/Snapshot()).
+  // same layout, keeping the hashes consistent. Values must already be
+  // masked (they are, if they came from WordsData()/Snapshot()).
   void OverwriteWord(std::size_t word, std::uint64_t value) {
     const std::uint64_t before = words_[word];
     if (before == value) return;
+    Changed(word, before, value);
     words_[word] = value;
-    UpdateHash(word, before, value);
   }
 
   // --- access tracking ------------------------------------------------------
@@ -309,15 +325,43 @@ class StateRegistry {
     std::uint64_t bits() const { return count * width; }
   };
 
-  void UpdateHash(std::size_t word_index, std::uint64_t before,
+  // A word changed before the first read, with the value it held then.
+  struct PendingWord {
+    std::uint32_t word;
+    std::uint64_t before;
+  };
+
+  // Hash maintenance for a word about to change from `before` to `after`:
+  // before the first read, log its first change (the fold reads the value
+  // current then); after it, update the hashes now.
+  void Changed(std::size_t word, std::uint64_t before, std::uint64_t after) {
+    if (folded_) {
+      UpdateHash(word, before, after);
+      return;
+    }
+    if (dirty_[word]) return;
+    dirty_[word] = 1;
+    pending_.push_back({static_cast<std::uint32_t>(word), before});
+  }
+  void Fold() const {
+    if (!folded_) FoldPending();
+  }
+  void FoldPending() const;
+  void UpdateHash(std::size_t word, std::uint64_t before,
                   std::uint64_t after);
 
   std::vector<std::uint64_t> words_;
   std::vector<Field> fields_;
   // Category of each word, parallel to words_ (for the per-category hash).
   std::vector<std::uint8_t> word_cat_;
-  std::uint64_t hash_ = 0;
-  CatHashArray cat_hash_{};
+  // Hashes (current once folded_), and until the first read the words
+  // changed since allocation with a per-word "already logged" flag parallel
+  // to words_.
+  mutable std::uint64_t hash_ = 0;
+  mutable CatHashArray cat_hash_{};
+  mutable bool folded_ = false;
+  mutable std::vector<PendingWord> pending_;
+  mutable std::vector<std::uint8_t> dirty_;
   WordFirstAccessTracker* tracker_ = nullptr;
 };
 
@@ -335,8 +379,8 @@ inline void StateField::Set(std::size_t i, std::uint64_t value) {
   const std::uint64_t before = reg_->words_[w];
   const std::uint64_t after = value & mask_;
   if (before == after) return;
+  reg_->Changed(w, before, after);
   reg_->words_[w] = after;
-  reg_->UpdateHash(w, before, after);
 }
 
 }  // namespace tfsim

@@ -186,6 +186,20 @@ Core::SnapshotDelta Core::SaveDelta(const Snapshot& base) const {
 
 void Core::LoadDelta(const Snapshot& base, const SnapshotDelta& d) {
   Load(base);
+  ApplyDelta(d);
+}
+
+bool Core::DeltaFits(const SnapshotDelta& d) const {
+  for (const auto& [w, value] : d.words)
+    if (w >= registry_.WordCount()) return false;
+  return d.fq_seq.size() == fetch_.fq_seq.size() &&
+         d.fb_seq.size() == fetch_.fb_seq.size() &&
+         d.d1_seq.size() == decode_.stage1.seq.size() &&
+         d.d2_seq.size() == decode_.stage2.seq.size() &&
+         d.rob_seq.size() == rob_seq_.size();
+}
+
+void Core::ApplyDelta(const SnapshotDelta& d) {
   for (const auto& [w, value] : d.words) registry_.OverwriteWord(w, value);
   for (const auto& [addr, value] : d.mem) mem_.Write(addr, value, 8);
   output_ = d.output;

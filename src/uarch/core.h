@@ -6,7 +6,7 @@
 // 8-wide retirement and a post-retirement store buffer.
 //
 // Every microarchitectural bit lives in the StateRegistry, giving the fault
-// injector a uniform bit space and giving trials an O(1) whole-machine
+// injector a uniform bit space and giving trials a cheap whole-machine
 // state-equality test (StateHash). Stage evaluation runs in reverse pipeline
 // order each cycle so writes become visible one cycle later, mimicking
 // edge-triggered latching.
@@ -178,6 +178,14 @@ class Core {
   };
   SnapshotDelta SaveDelta(const Snapshot& base) const;
   void LoadDelta(const Snapshot& base, const SnapshotDelta& d);
+  // LoadDelta minus the Load: applies `d` to the machine as it stands, which
+  // must be the delta's base (for a golden warm start, a freshly constructed
+  // core — cheaper than saving and reloading one). CoreStats are untouched.
+  void ApplyDelta(const SnapshotDelta& d);
+  // Whether `d` has this core's shape: every word index inside the registry
+  // and every sequence vector sized like this core's. Deltas read back from
+  // disk are checked before they are applied.
+  bool DeltaFits(const SnapshotDelta& d) const;
 
   const std::vector<std::uint8_t>& output() const { return output_; }
   std::uint64_t OutputHash() const { return out_hash_; }
@@ -195,7 +203,8 @@ class Core {
   // cycle when detached. `obs` must outlive the attachment.
   void AttachObs(const obs::ObsSinks* obs);
   // Adds the CoreStats event counters (squashes, replays, cache misses...)
-  // accumulated since the last flush to the attached metrics registry.
+  // accumulated since the attachment or the last flush to the attached
+  // metrics registry.
   // Called by hosts before detach/destruction; no-op when unattached.
   void FlushObsCounters();
 

@@ -13,7 +13,7 @@ void Core::AttachObs(const obs::ObsSinks* obs) {
   obs_ = obs && obs->Any() ? obs : nullptr;
   h_fq_ = h_sched_ = h_rob_ = h_lq_ = h_sq_ = h_mshr_ = h_inflight_ = nullptr;
   c_viol_.clear();
-  obs_flushed_ = CoreStats{};
+  obs_flushed_ = stats_;  // counters from before the attachment are not ours
   if (!obs_ || !obs_->metrics) return;
   obs::MetricsRegistry& m = *obs_->metrics;
   if (checker_) {

@@ -22,8 +22,10 @@
 //
 // Shipped sites (grep for fail::FailHere to audit):
 //   fs.atomic_write      AtomicWriteFile, before the temp write
-//   cache.load           LoadCachedCampaign (fires = treated as a miss)
-//   cache.store          StoreCachedCampaign's write attempt (retried)
+//   cache.load           LoadCachedCampaign, LoadGoldenWarmStart (fires =
+//                        treated as a miss)
+//   cache.store          StoreCachedCampaign's and StoreGoldenWarmStart's
+//                        write attempts (retried)
 //   ckpt.load            LoadCampaignCheckpoint (fires = no resume data)
 //   ckpt.store           StoreCampaignCheckpoint's write attempt (retried)
 //   events.jsonl.write   JsonlEventSink::OnEvent (fires = stream failure)

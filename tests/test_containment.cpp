@@ -10,6 +10,8 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "inject/cache.h"
@@ -37,6 +39,16 @@ class ScopedCacheDir {
  private:
   std::string dir_;
 };
+
+// Watchdog deadlines and simulated hangs below are calibrated for optimized
+// builds. Sanitizer builds simulate trials 10-30x slower, so there both
+// stretch by the same factor and still only the hung trial crosses the
+// deadline.
+constexpr int kTimeScale =
+    std::string_view(TFI_SANITIZE_NAME) == "off" ? 1 : 20;
+std::chrono::milliseconds Ms(int ms) {
+  return std::chrono::milliseconds(ms * kTimeScale);
+}
 
 CampaignSpec SmallCampaign(int trials) {
   CampaignSpec spec;
@@ -80,13 +92,13 @@ TEST(Watchdog, HungHookIsQuarantinedAsTimeout) {
     obs::MetricsRegistry metrics;
     CampaignOptions opt = QuietLive();
     opt.jobs = jobs;
-    opt.trial_timeout_ms = 50;
+    opt.trial_timeout_ms = Ms(50).count();
     opt.retries = 3;  // a timeout must NOT consume retries
     opt.obs.sinks.metrics = &metrics;
     opt.trial_fault_hook = [](std::size_t i) {
       // Trial 2 wedges: the hook outlives the deadline; the in-loop check
       // fires on the first cycle batch after the hook returns.
-      if (i == 2) std::this_thread::sleep_for(std::chrono::milliseconds(120));
+      if (i == 2) std::this_thread::sleep_for(Ms(120));
     };
     const CampaignResult r = RunCampaign(spec, opt);
 
@@ -112,13 +124,13 @@ TEST(Watchdog, RunnerReportsTimedOutWithoutRetrying) {
   // (Cheapest route: a one-trial campaign with a hook that always stalls.)
   obs::MetricsRegistry metrics;
   CampaignOptions hung = QuietLive();
-  hung.trial_timeout_ms = 40;
+  hung.trial_timeout_ms = Ms(40).count();
   hung.retries = 5;
   hung.obs.sinks.metrics = &metrics;
   int calls = 0;
   hung.trial_fault_hook = [&calls](std::size_t) {
     ++calls;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::this_thread::sleep_for(Ms(100));
   };
   const CampaignResult r = RunCampaign(spec, hung);
   // One attempt only: timeouts skip the retry loop (a deterministic hang
@@ -129,11 +141,11 @@ TEST(Watchdog, RunnerReportsTimedOutWithoutRetrying) {
 }
 
 TEST(Watchdog, EnvOverrideArmsTheDeadline) {
-  ::setenv("TFI_TRIAL_TIMEOUT", "45", 1);
+  ::setenv("TFI_TRIAL_TIMEOUT", std::to_string(Ms(45).count()).c_str(), 1);
   const CampaignSpec spec = SmallCampaign(3);
   CampaignOptions opt = QuietLive();  // trial_timeout_ms left at 0
   opt.trial_fault_hook = [](std::size_t i) {
-    if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(110));
+    if (i == 1) std::this_thread::sleep_for(Ms(110));
   };
   const CampaignResult r = RunCampaign(spec, opt);
   ::unsetenv("TFI_TRIAL_TIMEOUT");
@@ -210,9 +222,9 @@ TEST(Isolate, ChildWatchdogConvertsHangsToTimeouts) {
   CampaignOptions opt = QuietLive();
   opt.jobs = 2;
   opt.isolate_trials = true;
-  opt.trial_timeout_ms = 50;
+  opt.trial_timeout_ms = Ms(50).count();
   opt.trial_fault_hook = [](std::size_t i) {
-    if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    if (i == 3) std::this_thread::sleep_for(Ms(120));
   };
   const CampaignResult r = RunCampaign(spec, opt);
 

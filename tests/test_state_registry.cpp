@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "state/state_registry.h"
 #include "util/rng.h"
 
@@ -152,6 +154,120 @@ TEST(StateRegistry, IdenticalAllocationOrderGivesIdenticalLayout) {
   fa.Set(0, 999);
   fb.Set(0, 999);
   EXPECT_EQ(a.Hash(), b.Hash());
+}
+
+// Until a registry's first hash read, writes are only logged (a word's
+// first change) and that read folds the log; afterwards every write updates
+// the hashes. At every read point the hashes must equal a full
+// recomputation, whichever phase the writes came in and whatever their mix
+// — including words written away and back (A -> B -> A) before a read.
+TEST(StateRegistry, LazyFoldedHashesMatchRecomputeUnderRandomWrites) {
+  Rng rng(7);
+  for (int round = 0; round < 40; ++round) {
+    StateRegistry reg;
+    std::vector<StateField> fields = {
+        reg.Allocate("a", StateCat::kCtrl, Storage::kLatch, 24, 13),
+        reg.Allocate("b", StateCat::kData, Storage::kRam, 16, 64),
+        reg.Allocate("c", StateCat::kValid, Storage::kLatch, 40, 1),
+        reg.Allocate("d", StateCat::kPc, Storage::kBackground, 8, 62)};
+    const std::uint64_t bits = reg.InjectableBits(true);
+    std::vector<std::vector<std::uint64_t>> snaps = {reg.Snapshot()};
+    // Sparse deltas against snaps[0], applied like Core::LoadDelta: restore
+    // the base, then overwrite the differing words.
+    auto load_delta = [&](const std::vector<std::uint64_t>& target) {
+      reg.Restore(snaps[0]);
+      for (std::size_t w = 0; w < target.size(); ++w)
+        if (target[w] != snaps[0][w]) reg.OverwriteWord(w, target[w]);
+    };
+    const std::uint64_t first_read = rng.NextBelow(3000);
+    for (std::uint64_t i = 0; i < first_read + 1000; ++i) {
+      StateField& f = fields[rng.NextBelow(fields.size())];
+      const std::size_t e = rng.NextBelow(f.count());
+      switch (rng.NextBelow(7)) {
+        case 0:
+        case 1:
+          f.Set(e, rng.Next());
+          break;
+        case 2: {  // A -> B -> A: a change that must cancel out
+          const std::uint64_t old = f.Get(e);
+          f.Set(e, old ^ 1);
+          f.Set(e, rng.Next());
+          f.Set(e, old);
+          break;
+        }
+        case 3:
+          reg.FlipBit(reg.LocateBit(rng.NextBelow(bits), true));
+          break;
+        case 4:
+          reg.OverwriteWord(f.offset() + e, rng.Next() & f.mask());
+          break;
+        case 5:
+          if (rng.NextBool(0.5)) {
+            snaps.push_back(reg.Snapshot());
+          } else {
+            reg.Restore(snaps[rng.NextBelow(snaps.size())]);
+          }
+          break;
+        case 6:
+          load_delta(snaps[rng.NextBelow(snaps.size())]);
+          break;
+      }
+      if (i != first_read && (i < first_read || rng.NextBelow(50) != 0))
+        continue;
+      // Either hash may be the one whose read folds the log.
+      if (rng.NextBool(0.5)) {
+        ASSERT_EQ(reg.Hash(), reg.RecomputeHash()) << round << " step " << i;
+        ASSERT_EQ(reg.CatHashes(), reg.RecomputeCatHashes()) << round;
+      } else {
+        ASSERT_EQ(reg.CatHashes(), reg.RecomputeCatHashes())
+            << round << " step " << i;
+        ASSERT_EQ(reg.Hash(), reg.RecomputeHash()) << round;
+      }
+      for (int c = 0; c < kNumStateCats; ++c)
+        ASSERT_EQ(reg.CatHash(static_cast<StateCat>(c)),
+                  reg.RecomputeCatHashes()[static_cast<std::size_t>(c)]);
+    }
+    EXPECT_EQ(reg.Hash(), reg.RecomputeHash());
+  }
+}
+
+// Two registries of one layout that reach the same contents through
+// different write orders (and different read points) hash identically.
+TEST(StateRegistry, LazyHashIsIndependentOfWriteOrderAndReadPoints) {
+  auto build = [](StateRegistry& reg) {
+    return std::vector<StateField>{
+        reg.Allocate("x", StateCat::kCtrl, Storage::kLatch, 32, 11),
+        reg.Allocate("y", StateCat::kAddr, Storage::kRam, 32, 58)};
+  };
+  StateRegistry a, b;
+  std::vector<StateField> fa = build(a), fb = build(b);
+  struct Write {
+    std::size_t field, element;
+    std::uint64_t value;
+  };
+  std::vector<Write> writes;
+  Rng rng(11);
+  for (int i = 0; i < 400; ++i)
+    writes.push_back({rng.NextBelow(2), rng.NextBelow(32), rng.Next()});
+  // The final value of each word is its last write; b applies the writes
+  // that survive in reverse order, with a different intermediate value
+  // first, and reads its hashes along the way.
+  for (const Write& w : writes) fa[w.field].Set(w.element, w.value);
+  std::vector<std::vector<bool>> seen(2, std::vector<bool>(32, false));
+  int n = 0;
+  for (auto it = writes.rbegin(); it != writes.rend(); ++it) {
+    if (seen[it->field][it->element]) continue;
+    seen[it->field][it->element] = true;
+    fb[it->field].Set(it->element, ~it->value);
+    if (++n % 7 == 0) (void)b.Hash();
+    fb[it->field].Set(it->element, it->value);
+  }
+  EXPECT_EQ(a.WordCount(), b.WordCount());
+  for (std::size_t w = 0; w < a.WordCount(); ++w)
+    ASSERT_EQ(a.WordsData()[w], b.WordsData()[w]) << w;
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(a.CatHashes(), b.CatHashes());
+  EXPECT_EQ(b.Hash(), b.RecomputeHash());
 }
 
 TEST(StateCatName, AllNamed) {

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
 
 #include "inject/campaign.h"
 #include "inject/isolate.h"
@@ -127,11 +128,15 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(dir);
     const std::size_t victim = 2;
     CampaignOptions hang = base;
-    hang.trial_timeout_ms = 50;
+    // Calibrated for optimized builds; sanitizer builds simulate trials
+    // 10-30x slower, so the deadline and the hang stretch together there.
+    constexpr int kTimeScale =
+        std::string_view(TFI_SANITIZE_NAME) == "off" ? 1 : 20;
+    hang.trial_timeout_ms = 50 * kTimeScale;
     hang.trial_fault_hook = [victim](std::size_t i) {
       if (i == victim) {
-        const auto until =
-            std::chrono::steady_clock::now() + std::chrono::milliseconds(150);
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(150 * kTimeScale);
         while (std::chrono::steady_clock::now() < until) {
         }
       }
