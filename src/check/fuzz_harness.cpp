@@ -1,57 +1,60 @@
 #include "check/fuzz_harness.h"
 
+#include <cstdio>
+
 #include "arch/functional_sim.h"
 #include "check/invariants.h"
-#include "isa/assemble.h"
-#include "uarch/core.h"
 
 namespace tfsim::check {
 
-FuzzCaseResult RunLockstep(const std::string& src, const FuzzRunOptions& opt) {
-  const Program prog = Assemble(src);
+FuzzCaseResult RunLockstep(const Program& prog, const FuzzRunOptions& opt) {
   CoreConfig cfg = opt.core;
   cfg.check_invariants = opt.check_invariants;
   Core core(cfg, prog);
   FunctionalSim ref(prog);
   FuzzCaseResult r;
+  const auto fail = [&](std::string failure) {
+    r.ok = false;
+    r.failure = std::move(failure);
+    r.stats = core.stats();
+    return r;
+  };
   std::uint64_t last_retire_cycle = 0;
-  for (std::uint64_t c = 0; c < opt.cycles; ++c) {
+  for (std::uint64_t c = 0; c < opt.cycles && !core.exited(); ++c) {
     core.Cycle();
-    if (core.halted_exception() != Exception::kNone) {
-      r.ok = false;
-      r.failure = "pipeline exception at cycle " + std::to_string(c);
-      return r;
+    if (core.halted_exception() != Exception::kNone)
+      return fail(std::string("pipeline exception ") +
+                  ExceptionName(core.halted_exception()) + " at cycle " +
+                  std::to_string(c));
+    if (core.itlb_miss()) {
+      char addr[32];
+      std::snprintf(addr, sizeof addr, "0x%llx",
+                    static_cast<unsigned long long>(core.itlb_addr()));
+      return fail("itlb miss at cycle " + std::to_string(c) + " addr=" +
+                  addr);
     }
     for (const RetireEvent& ev : core.RetiredThisCycle()) {
       const RetireEvent want = ref.Step();
-      if (!(ev == want)) {
-        r.ok = false;
-        r.failure = "retire mismatch #" + std::to_string(r.retired) +
-                    " at cycle " + std::to_string(c) +
-                    "\n  core: " + ToString(ev) + "\n  ref : " +
-                    ToString(want);
-        return r;
-      }
+      if (!(ev == want))
+        return fail("retire mismatch #" + std::to_string(r.retired) +
+                    " at cycle " + std::to_string(c) + "\n  core: " +
+                    ToString(ev) + "\n  ref : " + ToString(want));
       ++r.retired;
     }
     if (!core.RetiredThisCycle().empty()) last_retire_cycle = c;
     if (const InvariantChecker* chk = core.invariant_checker();
         chk && chk->total() != 0) {
-      r.ok = false;
       r.violations = chk->total();
       const InvariantViolation& v = chk->violations().front();
-      r.failure = std::string("invariant violation [") +
+      return fail(std::string("invariant violation [") +
                   InvariantKindName(v.kind) + "] at cycle " +
-                  std::to_string(v.cycle) + ": " + v.detail;
-      return r;
+                  std::to_string(v.cycle) + ": " + v.detail);
     }
-    if (c - last_retire_cycle > opt.deadlock_cycles) {
-      r.ok = false;
-      r.failure = "deadlock: no retirement since cycle " +
-                  std::to_string(last_retire_cycle);
-      return r;
-    }
+    if (c - last_retire_cycle > opt.deadlock_cycles)
+      return fail("deadlock: no retirement since cycle " +
+                  std::to_string(last_retire_cycle));
   }
+  r.stats = core.stats();
   return r;
 }
 
@@ -59,7 +62,8 @@ ShrinkResult ShrinkFailure(const FuzzProgram& prog,
                            const FuzzRunOptions& opt) {
   ShrinkResult out;
   out.enabled.assign(prog.blocks.size(), true);
-  const FuzzCaseResult full = RunLockstep(prog.Source(out.enabled), opt);
+  const FuzzCaseResult full =
+      RunLockstep(Assemble(prog.Source(out.enabled)), opt);
   ++out.runs;
   out.failure = full.failure;
   if (full.ok) {  // caller error (case doesn't fail); return it unshrunk
@@ -72,7 +76,8 @@ ShrinkResult ShrinkFailure(const FuzzProgram& prog,
     for (std::size_t i = 0; i < out.enabled.size(); ++i) {
       if (!out.enabled[i]) continue;
       out.enabled[i] = false;
-      const FuzzCaseResult r = RunLockstep(prog.Source(out.enabled), opt);
+      const FuzzCaseResult r =
+          RunLockstep(Assemble(prog.Source(out.enabled)), opt);
       ++out.runs;
       if (r.ok) {
         out.enabled[i] = true;  // block is load-bearing, keep it

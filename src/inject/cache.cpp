@@ -114,45 +114,8 @@ std::optional<std::string> ReadChecksummed(std::istream& in) {
   return payload;
 }
 
-// Best-effort atomic store shared by the cache and the journal: ensures the
-// directory, writes temp + rename, retries transient failures with bounded
-// backoff, and surfaces final failure via stderr and the named counter
-// instead of silently dropping hours of results. `failpoint` is the chaos
-// site evaluated once per attempt (so a one-in-2 policy fails the first
-// attempt and lets the retry succeed).
 constexpr int kStoreAttempts = 3;
 constexpr std::uint64_t kStoreBackoffUs = 1000;  // 1ms, then 4ms
-
-bool StoreEnvelope(const std::filesystem::path& path, const char* magic,
-                   const std::string& payload, const char* failpoint,
-                   const char* failure_counter, obs::MetricsRegistry* metrics) {
-  const std::string data = WrapChecksummed(magic, payload);
-  std::string error;
-  for (int attempt = 0; attempt < kStoreAttempts; ++attempt) {
-    if (attempt > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          kStoreBackoffUs << (2 * (attempt - 1))));
-    error.clear();
-    // The directory may have been removed between attempts (or never
-    // existed); re-ensure it inside the retry loop.
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-    if (ec) {
-      error = "cannot create " + path.parent_path().string() + ": " +
-              ec.message();
-      continue;
-    }
-    if (fail::FailHere(failpoint)) {
-      error = std::string("failpoint: ") + failpoint;
-      continue;
-    }
-    if (AtomicWriteFile(path, data, &error)) return true;
-  }
-  std::fprintf(stderr, "[cache] store failed after %d attempts: %s\n",
-               kStoreAttempts, error.c_str());
-  if (metrics) metrics->GetCounter(failure_counter).Inc();
-  return false;
-}
 
 // --- warm-start serialization -----------------------------------------------
 //
@@ -273,26 +236,61 @@ std::string CacheDir() {
   return EnvStr("TFI_CACHE_DIR", ".tfi_cache");
 }
 
-std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
+std::optional<std::string> LoadEnvelope(const std::filesystem::path& path,
+                                        const char* magic,
+                                        const char* failpoint) {
   // A firing load failpoint is indistinguishable from an absent/corrupt
-  // cache file: the campaign re-runs cleanly (the graceful-degradation path
-  // chaos tests pin).
-  if (fail::FailHere("cache.load")) return std::nullopt;
-  const std::filesystem::path path =
-      std::filesystem::path(CacheDir()) / (spec.CacheKey() + ".txt");
+  // file: the caller re-runs cleanly (the graceful-degradation path chaos
+  // tests pin).
+  if (fail::FailHere(failpoint)) return std::nullopt;
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
+  std::string line;
+  std::getline(in, line);
+  if (line != magic) return std::nullopt;
+  return ReadChecksummed(in);
+}
 
-  std::string magic;
-  std::getline(in, magic);
+bool StoreEnvelope(const std::filesystem::path& path, const char* magic,
+                   const std::string& payload, const char* failpoint,
+                   const char* failure_counter, obs::MetricsRegistry* metrics) {
+  const std::string data = WrapChecksummed(magic, payload);
+  std::string error;
+  for (int attempt = 0; attempt < kStoreAttempts; ++attempt) {
+    if (attempt > 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(
+          kStoreBackoffUs << (2 * (attempt - 1))));
+    error.clear();
+    // The directory may have been removed between attempts (or never
+    // existed); re-ensure it inside the retry loop.
+    std::error_code ec;
+    std::filesystem::create_directories(path.parent_path(), ec);
+    if (ec) {
+      error = "cannot create " + path.parent_path().string() + ": " +
+              ec.message();
+      continue;
+    }
+    if (fail::FailHere(failpoint)) {
+      error = std::string("failpoint: ") + failpoint;
+      continue;
+    }
+    if (AtomicWriteFile(path, data, &error)) return true;
+  }
+  std::fprintf(stderr, "[cache] store failed after %d attempts: %s\n",
+               kStoreAttempts, error.c_str());
+  if (metrics) metrics->GetCounter(failure_counter).Inc();
+  return false;
+}
 
-  CampaignResult r;
-  r.spec = spec;
+std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec) {
   // Only v2 is read: every v1 file was written under a key salt that can no
   // longer match, so any other magic is a miss and the campaign re-runs.
-  if (magic != kMagicV2) return std::nullopt;
-  const auto payload = ReadChecksummed(in);
+  const auto payload = LoadEnvelope(
+      std::filesystem::path(CacheDir()) / (spec.CacheKey() + ".txt"),
+      kMagicV2, "cache.load");
   if (!payload) return std::nullopt;
+  CampaignResult r;
+  r.spec = spec;
   std::istringstream body(*payload);
   if (!ParseResultPayload(body, r)) return std::nullopt;
   return r;
@@ -315,13 +313,8 @@ std::string GoldenWarmStartPath(const CampaignSpec& spec) {
 }
 
 std::optional<GoldenWarmStart> LoadGoldenWarmStart(const CampaignSpec& spec) {
-  if (fail::FailHere("cache.load")) return std::nullopt;
-  std::ifstream in(GoldenWarmStartPath(spec), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string magic;
-  std::getline(in, magic);
-  if (magic != kWarmMagic) return std::nullopt;
-  const auto payload = ReadChecksummed(in);
+  const auto payload =
+      LoadEnvelope(GoldenWarmStartPath(spec), kWarmMagic, "cache.load");
   if (!payload) return std::nullopt;
   PayloadReader reader{*payload};
   GoldenWarmStart warm;
@@ -355,13 +348,8 @@ std::string CampaignCheckpointPath(const CampaignSpec& spec) {
 
 std::optional<std::vector<TrialRecord>> LoadCampaignCheckpoint(
     const CampaignSpec& spec) {
-  if (fail::FailHere("ckpt.load")) return std::nullopt;
-  std::ifstream in(CampaignCheckpointPath(spec), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string magic;
-  std::getline(in, magic);
-  if (magic != kCkptMagic) return std::nullopt;
-  const auto payload = ReadChecksummed(in);
+  const auto payload =
+      LoadEnvelope(CampaignCheckpointPath(spec), kCkptMagic, "ckpt.load");
   if (!payload) return std::nullopt;
   std::istringstream body(*payload);
   std::size_t total = 0, done = 0;

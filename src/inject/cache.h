@@ -8,7 +8,8 @@
 // Delete the directory (or change TFI_TRIALS) to force recomputation.
 //
 // Cache files are "tfi-cache v2": a CRC32-checksummed payload written via
-// temp-file + atomic rename, with every floating-point field serialized at
+// temp-file + atomic rename (the envelope below, which the Section 5 soft
+// campaign results share), with every floating-point field serialized at
 // max_digits10 so cache hits reproduce golden stats bit-exactly. Files whose
 // checksum, length or structure do not verify are treated as absent (the
 // campaign re-runs cleanly), as are files with any other magic (the legacy
@@ -27,6 +28,7 @@
 // killed campaign resumes exactly where it stopped.
 #pragma once
 
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,6 +38,28 @@
 namespace tfsim {
 
 std::string CacheDir();
+
+// --- the checksummed envelope -------------------------------------------------
+//
+// Every cache file is "<magic>\n<crc32 hex> <payload bytes>\n<payload>".
+
+// Reads the envelope at `path`: its payload, or nullopt when the file is
+// absent, carries another magic, or is torn, truncated, padded or tampered
+// (length or CRC mismatch). Chaos site: `failpoint`, evaluated once.
+std::optional<std::string> LoadEnvelope(const std::filesystem::path& path,
+                                        const char* magic,
+                                        const char* failpoint);
+
+// Best-effort atomic store: ensures the directory, writes temp + rename,
+// retries transient failures with bounded backoff (3 attempts), and
+// surfaces final failure via stderr and the `failure_counter` metric when
+// `metrics` is non-null instead of silently dropping results. `failpoint`
+// is the chaos site evaluated once per attempt (so a one-in-2 policy fails
+// the first attempt and lets the retry succeed).
+bool StoreEnvelope(const std::filesystem::path& path, const char* magic,
+                   const std::string& payload, const char* failpoint,
+                   const char* failure_counter,
+                   obs::MetricsRegistry* metrics = nullptr);
 
 std::optional<CampaignResult> LoadCachedCampaign(const CampaignSpec& spec);
 

@@ -1,8 +1,9 @@
 #include "soft/soft_inject.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "arch/functional_sim.h"
@@ -71,6 +72,65 @@ Reference RunReference(const Program& program, std::uint64_t max_insns) {
   return ref;
 }
 
+bool SameImage(const Program& a, const Program& b) {
+  return a.entry == b.entry &&
+         std::equal(a.chunks.begin(), a.chunks.end(), b.chunks.begin(),
+                    b.chunks.end(),
+                    [](const Program::Chunk& x, const Program::Chunk& y) {
+                      return x.addr == y.addr && x.bytes == y.bytes;
+                    });
+}
+
+// The fault-free reference of `program`, computed once per distinct program
+// per thread and reused across its trials. The key is the whole program
+// image, compared exactly: workloads built at different sizes differ in
+// only a few bytes, and program objects are routinely rebuilt at the same
+// address across campaigns.
+const Reference& ReferenceFor(const Program& program) {
+  static thread_local struct {
+    std::optional<Program> program;
+    Reference ref;
+  } cache;
+  if (!cache.program || !SameImage(*cache.program, program)) {
+    cache.program.reset();
+    cache.ref = RunReference(program, 1ULL << 40);
+    cache.program = program;
+  }
+  return cache.ref;
+}
+
+// Soft campaign results live in the cache directory inside the shared
+// checksummed envelope. Bump the salt whenever trial semantics or the
+// reference change, so results computed under the old ones are misses
+// (3: the reference is keyed by the whole program, not a sampled
+// fingerprint that let one workload size serve another's reference).
+constexpr const char* kSoftMagic = "tfi-soft v2";
+constexpr std::uint64_t kSoftCacheSalt = 3;
+
+std::string SerializeSoft(const SoftCampaignResult& r) {
+  std::ostringstream os;
+  os << r.trials << '\n';
+  for (auto v : r.by_outcome) os << v << ' ';
+  os << '\n' << r.state_ok_with_divergence << '\n';
+  return os.str();
+}
+
+// Parses a payload, rejecting one whose trial count differs from the spec's
+// or whose outcome counts do not sum to it.
+bool ParseSoft(const std::string& payload, SoftCampaignResult& r) {
+  std::istringstream in(payload);
+  in >> r.trials;
+  for (auto& v : r.by_outcome) in >> v;
+  in >> r.state_ok_with_divergence;
+  std::uint64_t sum = 0;
+  for (auto v : r.by_outcome) sum += v;
+  return in && (in >> std::ws).eof() &&
+         r.trials == static_cast<std::uint64_t>(r.spec.trials) &&
+         sum == r.trials &&
+         r.state_ok_with_divergence <=
+             r.by_outcome[static_cast<int>(SoftOutcome::kStateOk)];
+}
+
 }  // namespace
 
 const char* SoftFaultModelName(SoftFaultModel m) {
@@ -95,35 +155,10 @@ const char* SoftOutcomeName(SoftOutcome o) {
   return "?";
 }
 
-// Content fingerprint for the reference cache: a stale pointer to a
-// different program must never match (program objects are routinely
-// reconstructed at the same address across campaigns).
-static std::uint64_t Fingerprint(const Program& program) {
-  std::uint64_t h = Mix64(program.entry + 1);
-  for (const auto& chunk : program.chunks) {
-    h = Mix64(h ^ chunk.addr);
-    for (std::size_t i = 0; i < chunk.bytes.size(); i += 97)
-      h = Mix64(h ^ (static_cast<std::uint64_t>(chunk.bytes[i]) << (i % 56)));
-    h = Mix64(h ^ chunk.bytes.size());
-  }
-  return h;
-}
-
 SoftTrialResult RunSoftTrial(const Program& program, SoftFaultModel model,
                              std::uint64_t target_insn, std::uint64_t rng_seed,
                              std::uint64_t max_insns) {
-  // The fault-free reference is computed once per distinct program (keyed by
-  // content, not address) and reused across trials.
-  static thread_local struct {
-    std::uint64_t key = 0;
-    Reference ref;
-  } cache;
-  const std::uint64_t key = Fingerprint(program);
-  if (cache.key != key) {
-    cache.ref = RunReference(program, 1ULL << 40);
-    cache.key = key;
-  }
-  const Reference& ref = cache.ref;
+  const Reference& ref = ReferenceFor(program);
 
   SoftTrialResult result;
   Rng rng(rng_seed);
@@ -220,8 +255,8 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
   SoftCampaignResult result;
   result.spec = spec;
 
-  // On-disk cache (same directory as the pipeline campaigns).
-  std::uint64_t key = Mix64(0x50F7 + 2);
+  // On-disk cache (same directory and envelope as the pipeline campaigns).
+  std::uint64_t key = Mix64(0x50F7 + kSoftCacheSalt);
   for (char c : spec.workload) key = Mix64(key ^ static_cast<std::uint64_t>(c));
   key = Mix64(key ^ static_cast<std::uint64_t>(spec.model));
   key = Mix64(key ^ spec.iters);
@@ -232,15 +267,8 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
        << "_" << std::hex << key << ".txt";
   const std::filesystem::path path =
       std::filesystem::path(CacheDir()) / name.str();
-  if (std::ifstream in(path); in) {
-    std::string magic;
-    std::getline(in, magic);
-    if (magic == "tfi-soft v1") {
-      in >> result.trials;
-      for (auto& v : result.by_outcome) in >> v;
-      in >> result.state_ok_with_divergence;
-      if (in) return result;
-    }
+  if (const auto payload = LoadEnvelope(path, kSoftMagic, "cache.load")) {
+    if (ParseSoft(*payload, result)) return result;
     result = SoftCampaignResult{};
     result.spec = spec;
   }
@@ -253,7 +281,7 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
   Program program = BuildWorkload(WorkloadByName(base), spec.iters,
                                   /*emit_each_iteration=*/true);
   if (hmode) program = Harden(program, *hmode).program;
-  const Reference ref = RunReference(program, 1ULL << 40);
+  const Reference& ref = ReferenceFor(program);
   const std::uint64_t max_insns = ref.total_insns * spec.max_insn_factor;
   const std::uint64_t eligible = ref.eligible[static_cast<int>(spec.model)];
 
@@ -272,13 +300,8 @@ SoftCampaignResult RunSoftCampaign(const SoftCampaignSpec& spec,
                    t + 1, spec.trials);
   }
 
-  std::error_code ec;
-  std::filesystem::create_directories(CacheDir(), ec);
-  if (std::ofstream out(path); out) {
-    out << "tfi-soft v1\n" << result.trials << '\n';
-    for (auto v : result.by_outcome) out << v << ' ';
-    out << '\n' << result.state_ok_with_divergence << '\n';
-  }
+  StoreEnvelope(path, kSoftMagic, SerializeSoft(result), "cache.store",
+                "soft.cache.store_failures");
   return result;
 }
 

@@ -18,8 +18,8 @@ namespace {
 using check::FuzzRunOptions;
 using check::FuzzShape;
 
-// Same per-seed scrambling as tools/fuzz, so a failing test names a case
-// reproducible with `fuzz --shape <shape> --seed-base <param> --seeds 1`.
+// Same per-seed scrambling as `tfi fuzz`, so a failing test names a case
+// reproducible with `tfi fuzz --shape <shape> --seed-base <param> --seeds 1`.
 std::uint64_t ScrambleSeed(int param) {
   return static_cast<std::uint64_t>(param) * 0x9E3779B97F4A7C15ULL + 17;
 }
@@ -30,7 +30,8 @@ void RunShapeCase(FuzzShape shape, int param) {
   FuzzRunOptions opt;
   opt.cycles = 15000;
   opt.check_invariants = true;
-  const check::FuzzCaseResult r = check::RunLockstep(prog.Source(), opt);
+  const check::FuzzCaseResult r =
+      check::RunLockstep(Assemble(prog.Source()), opt);
   ASSERT_TRUE(r.ok) << check::FuzzShapeName(shape) << " seed-base " << param
                     << ": " << r.failure << "\n"
                     << prog.Source();
@@ -113,7 +114,7 @@ TEST(FuzzProgram, DisabledBlocksStillAssembleAndPass) {
   FuzzRunOptions opt;
   opt.cycles = 6000;
   const check::FuzzCaseResult r =
-      check::RunLockstep(prog.Source(enabled), opt);
+      check::RunLockstep(Assemble(prog.Source(enabled)), opt);
   EXPECT_TRUE(r.ok) << r.failure;
   EXPECT_GT(r.retired, 0u);
 }

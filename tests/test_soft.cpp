@@ -3,7 +3,15 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "inject/cache.h"
 #include "soft/soft_inject.h"
 #include "workloads/workloads.h"
 
@@ -69,6 +77,37 @@ TEST(Soft, SomeFaultsAreMaskedAndSomeAreNot) {
   EXPECT_GT(bad, 5) << "register corruption must be able to break output";
 }
 
+// The 60 trials of SomeFaultsAreMaskedAndSomeAreNot on a fresh thread (so
+// its thread-local reference cache starts empty), optionally primed with a
+// trial of a larger gzip build whose program differs in only a few bytes.
+std::vector<SoftTrialResult> FreshThreadTrials(bool prime) {
+  std::vector<SoftTrialResult> out;
+  std::thread([&] {
+    if (prime)
+      RunSoftTrial(BuildWorkload(WorkloadByName("gzip"), 8, true),
+                   SoftFaultModel::kRegBit64, 0, 1, 1u << 24);
+    const Program prog = SmallProgram();
+    for (std::uint64_t t = 0; t < 60; ++t)
+      out.push_back(
+          RunSoftTrial(prog, SoftFaultModel::kRegBit64, t * 997, t, 1u << 24));
+  }).join();
+  return out;
+}
+
+TEST(Soft, ReferenceCacheNeverServesAnotherProgram) {
+  const std::vector<SoftTrialResult> unprimed = FreshThreadTrials(false);
+  const std::vector<SoftTrialResult> primed = FreshThreadTrials(true);
+  ASSERT_EQ(primed.size(), unprimed.size());
+  for (std::size_t i = 0; i < primed.size(); ++i) {
+    EXPECT_EQ(primed[i].outcome, unprimed[i].outcome) << "trial " << i;
+    EXPECT_EQ(primed[i].control_flow_diverged,
+              unprimed[i].control_flow_diverged)
+        << "trial " << i;
+    EXPECT_EQ(primed[i].insns_executed, unprimed[i].insns_executed)
+        << "trial " << i;
+  }
+}
+
 TEST(Soft, CampaignAggregatesAndCaches) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "tfi_soft_cache").string();
@@ -86,6 +125,73 @@ TEST(Soft, CampaignAggregatesAndCaches) {
   EXPECT_EQ(sum, 20u);
   const auto cached = RunSoftCampaign(spec, false);
   EXPECT_EQ(cached.by_outcome, fresh.by_outcome);
+  std::filesystem::remove_all(dir);
+  ::unsetenv("TFI_CACHE_DIR");
+}
+
+std::string Slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void Spit(const std::filesystem::path& path, const std::string& data) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
+}
+
+// A cache file that is torn, edited or inconsistent must be a miss: the
+// campaign re-runs, returns the true counts, and rewrites the file intact.
+TEST(Soft, TruncatedAndTamperedCacheFilesAreMisses) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "tfi_soft_cache_tamper";
+  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
+  std::filesystem::remove_all(dir);
+  SoftCampaignSpec spec;
+  spec.workload = "gzip";
+  spec.iters = 3;
+  spec.trials = 20;
+  spec.model = SoftFaultModel::kRegBit64;
+  const auto fresh = RunSoftCampaign(spec, false);
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    files.push_back(e.path());
+  ASSERT_EQ(files.size(), 1u);
+  const std::filesystem::path file = files[0];
+  EXPECT_EQ(file.filename().string().rfind("soft_gzip_reg-bit-64_", 0), 0u);
+  const std::string intact = Slurp(file);
+
+  // Truncated: the length check fails.
+  Spit(file, intact.substr(0, intact.size() - 3));
+  EXPECT_EQ(RunSoftCampaign(spec, false).by_outcome, fresh.by_outcome);
+  EXPECT_EQ(Slurp(file), intact);
+
+  // Tampered at the same length: swap the Output OK and Output Bad counts,
+  // which leaves a payload that parses and sums to the trial count, so
+  // only the checksum can catch it. Layout: magic line, checksum line,
+  // trial count line, outcome counts line.
+  const std::size_t payload = intact.find('\n', intact.find('\n') + 1) + 1;
+  const std::size_t counts = intact.find('\n', payload) + 1;
+  const std::size_t counts_end = intact.find('\n', counts);
+  std::istringstream tokens(intact.substr(counts, counts_end - counts));
+  std::vector<std::string> v{std::istream_iterator<std::string>(tokens), {}};
+  ASSERT_EQ(v.size(), 4u);
+  std::swap(v[2], v[3]);
+  std::string tampered = intact;
+  tampered.replace(counts, counts_end - counts,
+                   v[0] + " " + v[1] + " " + v[2] + " " + v[3] + " ");
+  ASSERT_EQ(tampered.size(), intact.size());
+  ASSERT_NE(tampered, intact);
+  Spit(file, tampered);
+  EXPECT_EQ(RunSoftCampaign(spec, false).by_outcome, fresh.by_outcome);
+  EXPECT_EQ(Slurp(file), intact);
+
+  // Intact envelope, inconsistent payload: counts that miss the trial count.
+  ASSERT_TRUE(StoreEnvelope(file, "tfi-soft v2", "20\n1 1 1 1 \n0\n",
+                            "cache.store", "soft.cache.store_failures"));
+  EXPECT_EQ(RunSoftCampaign(spec, false).by_outcome, fresh.by_outcome);
+  EXPECT_EQ(Slurp(file), intact);
+
   std::filesystem::remove_all(dir);
   ::unsetenv("TFI_CACHE_DIR");
 }
