@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -92,15 +93,15 @@ std::string CampaignSpec::WarmStartKey() const {
   return os.str();
 }
 
-const char* QuarantineReasonName(QuarantinedTrial::Reason r) {
+const char* QuarantineReasonName(QuarantineReason r) {
   switch (r) {
-    case QuarantinedTrial::Reason::kException:
+    case QuarantineReason::kException:
       return "exception";
-    case QuarantinedTrial::Reason::kTimeout:
+    case QuarantineReason::kTimeout:
       return "timeout";
-    case QuarantinedTrial::Reason::kCrash:
+    case QuarantineReason::kCrash:
       return "crash";
-    case QuarantinedTrial::Reason::kBudget:
+    case QuarantineReason::kBudget:
       return "budget";
   }
   return "unknown";
@@ -182,7 +183,7 @@ struct ProgressSinkGuard {
 };
 
 // Wall-clock span of one trial, for the chrome campaign lane. Filled by the
-// executing worker; read only after the pool joins.
+// completion routine; read only after the trial loop ends.
 struct TrialTiming {
   std::uint64_t ts_us = 0;
   std::uint64_t dur_us = 0;
@@ -398,7 +399,7 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
 
   result.trials.resize(n);
   if (tracing) result.prop_traces.resize(n);
-  std::vector<TrialTiming> timing(n);
+  std::vector<TrialTiming> timing(chrome ? n : 0);
 
   // Checkpoint journaling. TFI_CHECKPOINT_EVERY overrides the option so
   // smoke tests can force tiny intervals on any binary. Trace-collecting
@@ -410,9 +411,10 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
                                           ? static_cast<std::uint64_t>(every_env)
                                           : 0;
 
-  // Per-trial completion flags: the release store in the worker pairs with
-  // the acquire scan in the checkpointer, making the record slots of the
-  // contiguous completed prefix safe to read while other trials still run.
+  // Per-trial completion flags: the release store in the completion routine
+  // pairs with the acquire scan in the checkpointer, making the record slots
+  // of the contiguous completed prefix safe to read while other trials
+  // still run.
   auto completed = std::make_unique<std::atomic<bool>[]>(n);
   std::size_t resumed = 0;
   if (journal_every) {
@@ -439,7 +441,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   // completion counting moved into the event journal (ProgressSink).
   const Clock::time_point wall_epoch = Clock::now();
   std::atomic<std::uint64_t> done{resumed};
-  std::atomic<std::size_t> next{resumed};
   std::vector<std::string> errmsgs(n);
   std::vector<QuarantinedTrial::Reason> reasons(
       n, QuarantinedTrial::Reason::kException);
@@ -520,240 +521,173 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   };
 
   // Execution policy for every worker's TrialRunner: the retry/quarantine
-  // loop and the checked-run handling live in the runner; the campaign adds
-  // telemetry through its hooks and collects results in per-index slots.
+  // loop and the checked-run handling live in the runner.
   TrialPolicy policy;
   policy.fast_path = fast;
-  policy.retries = opt.retries;
   policy.check_invariants = checked;
   // Trial containment: the per-attempt watchdog deadline. TFI_TRIAL_TIMEOUT
   // overrides the option so smoke tests can arm it on any binary.
   policy.timeout_ms = EnvInt("TFI_TRIAL_TIMEOUT", opt.trial_timeout_ms);
 
-  // One worker's share of the campaign: pull the next unclaimed trial index
-  // and run it on a private TrialRunner against the shared golden run.
-  // Results land in per-index slots, so collection order never depends on
-  // scheduling. Cancellation drains: in-flight trials finish, no new ones
-  // start. Worker 0 doubles as the progress printer.
-  auto work = [&](TrialRunner& runner, int worker) {
-    std::size_t cur = 0;  // trial index the hooks below report against
-    TrialRunner::Hooks hooks;
-    hooks.before_attempt = [&] {
-      if (opt.trial_fault_hook) opt.trial_fault_hook(cur);
-    };
-    hooks.on_retry = [&](int attempt, const std::string& error) {
+  // The completion routine: every finished trial, from an in-process worker
+  // or from the isolation supervisor, lands here exactly once. `core` is the
+  // reporting worker's replica (the probe for isolated trials); its registry
+  // layout is identical to every other's, so resolving the injection site
+  // against it is a pure read that never perturbs a trial. Results land in
+  // per-index slots, so collection order never depends on scheduling.
+  // Called concurrently by in-process workers: everything it touches is a
+  // per-index slot, an atomic, the journal or mutex-guarded.
+  auto complete = [&](std::size_t i, int worker, TrialRunner::Result&& res,
+                      const Core& core) {
+    for (std::size_t k = 0; k < res.failed_attempts.size(); ++k) {
+      const std::string& why = res.failed_attempts[k];
       if (journal) {
         obs::Event ev;
         ev.kind = obs::EventKind::kTrialRetry;
-        ev.trial = static_cast<std::int64_t>(cur);
-        ev.value = static_cast<std::uint64_t>(attempt);
-        ev.detail = error;
-        journal->Emit(std::move(ev));
-      }
-      add_marker("trial retry",
-                 {{"trial", std::to_string(cur)}, {"error", error}});
-    };
-    for (;;) {
-      if (opt.cancel && opt.cancel->cancelled()) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      cur = i;
-      const auto t0 = Clock::now();
-      TrialRunner::Result res = runner.Run(specs[i], tracing, &hooks);
-      const auto t1 = Clock::now();
-      if (res.quarantined) {
-        errmsgs[i] = res.error;
-        if (res.timed_out) reasons[i] = QuarantinedTrial::Reason::kTimeout;
-        if (checked) {
-          // Per-kind violation tallies for the check.violations.* totals.
-          if (const check::InvariantChecker* chk =
-                  runner.core().invariant_checker();
-              chk && chk->total() != 0) {
-            for (int k = 0; k < check::kNumInvariantKinds; ++k)
-              viol_counts[i][static_cast<std::size_t>(k)] =
-                  chk->CountFor(static_cast<check::InvariantKind>(k));
-          }
-        }
-        if (journal) {
-          obs::Event ev;
-          ev.kind = res.timed_out ? obs::EventKind::kTrialTimeout
-                                  : obs::EventKind::kTrialQuarantine;
-          ev.trial = static_cast<std::int64_t>(i);
-          if (res.timed_out)
-            ev.value = static_cast<std::uint64_t>(policy.timeout_ms);
-          ev.detail = errmsgs[i];
-          journal->Emit(std::move(ev));
-        }
-        add_marker(res.timed_out ? "trial timeout" : "trial quarantined",
-                   {{"trial", std::to_string(i)}, {"error", errmsgs[i]}});
-      }
-      result.trials[i] = res.record;
-      if (tracing) result.prop_traces[i] = std::move(res.trace);
-      timing[i] = {ElapsedUs(wall_epoch, t0), ElapsedUs(t0, t1), worker};
-      completed[i].store(true, std::memory_order_release);
-      if (journal) {
-        // The injection site resolved to its registry field: the replica's
-        // registry layout is identical across cores of the same
-        // config/program, so this is a pure read that never perturbs the
-        // trial. Propagation latencies join in when tracing (-1 = silent).
-        const InjectionSite site = ResolveInjectionSite(
-            golden->spec, specs[i], runner.core().registry());
-        const BitLocation& loc = site.primary;
-        obs::Event ev;
-        ev.kind = obs::EventKind::kTrialDone;
         ev.trial = static_cast<std::int64_t>(i);
-        ev.outcome = res.record.outcome;
-        ev.mode = res.record.mode;
-        // Site category/storage come from the resolved location, not the
-        // record: a quarantined record carries defaults, but the injection
-        // site is still real.
-        ev.cat = loc.cat;
-        ev.storage = loc.storage;
-        ev.cycles = res.record.cycles;
-        ev.dur_us = ElapsedUs(t0, t1);
-        ev.field = loc.name;
-        ev.field_bits =
-            runner.core().registry().FieldInfoAt(loc.field_index).bits();
-        if (tracing) {
-          ev.arch_divergence_cycle = result.prop_traces[i].arch_divergence_cycle;
-          ev.first_spread_cycle = result.prop_traces[i].first_spread_cycle;
-        }
+        ev.value = k + 1;
+        ev.detail = why;
         journal->Emit(std::move(ev));
       }
-      const std::uint64_t d =
-          done.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (journal_every && d % journal_every == 0) FlushCheckpoint();
-
-      if (worker == 0 && !opt.obs.progress && opt.verbose &&
-          d % 200 < static_cast<std::uint64_t>(jobs)) {
-        std::fprintf(stderr, "[campaign %s] %llu/%d trials\n", key.c_str(),
-                     (unsigned long long)d, spec.trials);
-      }
+      add_marker("trial retry", {{"trial", std::to_string(i)}, {"error", why}});
     }
+    if (res.quarantined) {
+      errmsgs[i] = res.error;
+      reasons[i] = res.reason;
+      // Per-kind violation tallies for the check.violations.* totals.
+      if (const check::InvariantChecker* chk = core.invariant_checker();
+          checked && chk && chk->total() != 0) {
+        for (int k = 0; k < check::kNumInvariantKinds; ++k)
+          viol_counts[i][static_cast<std::size_t>(k)] =
+              chk->CountFor(static_cast<check::InvariantKind>(k));
+      }
+      const char* marker = "trial quarantined";
+      obs::EventKind kind = obs::EventKind::kTrialQuarantine;
+      std::uint64_t value = 0;
+      if (res.reason == QuarantineReason::kCrash) {
+        marker = "trial crashed";
+        kind = obs::EventKind::kTrialCrash;
+        value = res.status;
+      } else if (res.reason == QuarantineReason::kTimeout) {
+        marker = "trial timeout";
+        kind = obs::EventKind::kTrialTimeout;
+        value = static_cast<std::uint64_t>(policy.timeout_ms);
+      }
+      if (journal) {
+        obs::Event ev;
+        ev.kind = kind;
+        ev.trial = static_cast<std::int64_t>(i);
+        ev.value = value;
+        ev.detail = res.error;
+        journal->Emit(std::move(ev));
+      }
+      add_marker(marker, {{"trial", std::to_string(i)}, {"error", res.error}});
+    }
+    result.trials[i] = res.record;
+    if (tracing) result.prop_traces[i] = std::move(res.trace);
+    if (chrome) {
+      const std::uint64_t now_us = ElapsedUs(wall_epoch, Clock::now());
+      timing[i] = {now_us >= res.dur_us ? now_us - res.dur_us : 0, res.dur_us,
+                   worker};
+    }
+    // Budget holes never ran: keeping them out of the completed[] prefix
+    // keeps them out of the checkpoint journal, so a re-run resumes with
+    // real execution instead of inheriting the hole.
+    if (res.reason != QuarantineReason::kBudget)
+      completed[i].store(true, std::memory_order_release);
+    if (journal) {
+      // Site category/storage come from the resolved location, not the
+      // record: a quarantined record carries defaults, but the injection
+      // site is still real. Propagation latencies join in when tracing
+      // (-1 = silent).
+      const InjectionSite site =
+          ResolveInjectionSite(golden->spec, specs[i], core.registry());
+      const BitLocation& loc = site.primary;
+      obs::Event ev;
+      ev.kind = obs::EventKind::kTrialDone;
+      ev.trial = static_cast<std::int64_t>(i);
+      ev.outcome = res.record.outcome;
+      ev.mode = res.record.mode;
+      ev.cat = loc.cat;
+      ev.storage = loc.storage;
+      ev.cycles = res.record.cycles;
+      ev.dur_us = res.dur_us;
+      ev.field = loc.name;
+      ev.field_bits = core.registry().FieldInfoAt(loc.field_index).bits();
+      if (tracing) {
+        ev.arch_divergence_cycle = result.prop_traces[i].arch_divergence_cycle;
+        ev.first_spread_cycle = result.prop_traces[i].first_spread_cycle;
+      }
+      journal->Emit(std::move(ev));
+    }
+    const std::uint64_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (journal_every && d % journal_every == 0) FlushCheckpoint();
+    if (!opt.obs.progress && opt.verbose && d % 200 == 0)
+      std::fprintf(stderr, "[campaign %s] %llu/%d trials\n", key.c_str(),
+                   (unsigned long long)d, spec.trials);
   };
 
   // Crash containment: forked-worker execution (inject/isolate.h). Tracing
   // and checked runs need the trial core in this process (traces and checker
   // state don't cross the pipe), so they fall back to in-process execution.
-  const bool isolate = [&] {
-    if (!opt.isolate_trials) return false;
-    if (tracing || checked) {
-      std::fprintf(stderr,
-                   "[campaign %s] --isolate-trials is incompatible with "
-                   "propagation tracing and checked runs; executing "
-                   "in-process\n",
-                   key.c_str());
-      return false;
-    }
-    if (!IsolationSupported()) {
-      std::fprintf(stderr,
-                   "[campaign %s] trial isolation is not supported on this "
-                   "platform; executing in-process\n",
-                   key.c_str());
-      return false;
-    }
-    return true;
-  }();
+  const bool isolate = opt.isolate_trials && !tracing && !checked;
+  if (opt.isolate_trials && !isolate)
+    std::fprintf(stderr,
+                 "[campaign %s] --isolate-trials is incompatible with "
+                 "propagation tracing and checked runs; executing "
+                 "in-process\n",
+                 key.c_str());
 
   {
     std::optional<obs::ScopedTimer> loop_timer;
     if (metrics) loop_timer.emplace(metrics->GetTimer("campaign.trial_loop"));
     if (isolate) {
-      IsolateOptions iso;
-      iso.jobs = jobs;
-      iso.policy = policy;
-      iso.max_restarts = opt.max_worker_restarts;
-      iso.cancel = opt.cancel;
-      iso.before_trial = opt.trial_fault_hook;
-      iso.verbose = opt.verbose;
-      // The supervisor invokes this serially (its own thread) per finished
-      // trial — the isolate-mode body of the `work` lambda above, minus the
-      // runner-local bits (site resolution uses the probe replica, whose
-      // registry layout is identical).
-      std::uint64_t done_ct = resumed;
       const IsolateReport rep = RunTrialsIsolated(
-          golden, specs, resumed, iso, [&](IsolatedTrial&& t) {
-            const std::size_t i = t.index;
-            result.trials[i] = t.record;
-            const std::uint64_t now_us = ElapsedUs(wall_epoch, Clock::now());
-            timing[i] = {now_us >= t.dur_us ? now_us - t.dur_us : 0,
-                         t.dur_us, t.worker};
-            if (t.quarantined) {
-              errmsgs[i] = t.error;
-              reasons[i] = t.budget_exhausted
-                               ? QuarantinedTrial::Reason::kBudget
-                           : t.crashed ? QuarantinedTrial::Reason::kCrash
-                           : t.timed_out
-                               ? QuarantinedTrial::Reason::kTimeout
-                               : QuarantinedTrial::Reason::kException;
-              if (journal) {
-                obs::Event ev;
-                ev.trial = static_cast<std::int64_t>(i);
-                ev.detail = t.error;
-                if (t.crashed) {
-                  ev.kind = obs::EventKind::kTrialCrash;
-                  ev.value = t.status;
-                } else if (t.timed_out) {
-                  ev.kind = obs::EventKind::kTrialTimeout;
-                  ev.value = static_cast<std::uint64_t>(policy.timeout_ms);
-                } else {
-                  ev.kind = obs::EventKind::kTrialQuarantine;
-                }
-                journal->Emit(std::move(ev));
-              }
-              add_marker(t.crashed     ? "trial crashed"
-                         : t.timed_out ? "trial timeout"
-                                       : "trial quarantined",
-                         {{"trial", std::to_string(i)}, {"error", t.error}});
-            }
-            // Budget holes never ran: keeping them out of the completed[]
-            // prefix keeps them out of the checkpoint journal, so a re-run
-            // resumes with real execution instead of inheriting the hole.
-            if (!t.budget_exhausted)
-              completed[i].store(true, std::memory_order_release);
-            if (journal) {
-              const InjectionSite site = ResolveInjectionSite(
-                  golden->spec, specs[i], probe.registry());
-              const BitLocation& loc = site.primary;
-              obs::Event ev;
-              ev.kind = obs::EventKind::kTrialDone;
-              ev.trial = static_cast<std::int64_t>(i);
-              ev.outcome = result.trials[i].outcome;
-              ev.mode = result.trials[i].mode;
-              ev.cat = loc.cat;
-              ev.storage = loc.storage;
-              ev.cycles = result.trials[i].cycles;
-              ev.dur_us = t.dur_us;
-              ev.field = loc.name;
-              ev.field_bits =
-                  probe.registry().FieldInfoAt(loc.field_index).bits();
-              journal->Emit(std::move(ev));
-            }
-            const std::uint64_t d = ++done_ct;
-            done.store(d, std::memory_order_relaxed);
-            if (journal_every && d % journal_every == 0) FlushCheckpoint();
+          golden, specs, resumed, jobs, policy, opt,
+          [&](std::size_t i, int worker, TrialRunner::Result&& res) {
+            complete(i, worker, std::move(res), probe);
           });
       result.worker_restarts = rep.restarts;
       result.containment_exhausted = rep.exhausted;
       if (metrics && rep.restarts)
         metrics->GetCounter("campaign.workers.restarts").Inc(rep.restarts);
-    } else if (jobs <= 1) {
-      TrialRunner runner(golden, policy);
-      work(runner, 0);
     } else {
+      // One worker's share of the campaign: pull the next unclaimed trial
+      // index and run it on a private TrialRunner against the shared golden
+      // run. Cancellation drains: in-flight trials finish, no new ones
+      // start. Workers 1..jobs-1 run on threads; the calling thread is
+      // worker 0, so jobs == 1 starts no thread.
+      std::atomic<std::size_t> next{resumed};
       std::vector<std::exception_ptr> errors(static_cast<std::size_t>(jobs));
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(jobs));
-      for (int w = 0; w < jobs; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            TrialRunner runner(golden, policy);
-            work(runner, w);
-          } catch (...) {
-            errors[static_cast<std::size_t>(w)] = std::current_exception();
+      auto work = [&](int worker) {
+        try {
+          TrialRunner runner(golden, policy);
+          std::size_t cur = 0;
+          std::function<void()> before_attempt;
+          if (opt.trial_fault_hook)
+            before_attempt = [&] { opt.trial_fault_hook(cur); };
+          while (!(opt.cancel && opt.cancel->cancelled())) {
+            cur = next.fetch_add(1, std::memory_order_relaxed);
+            if (cur >= n) return;
+            complete(cur, worker,
+                     runner.Run(specs[cur], tracing, before_attempt),
+                     runner.core());
           }
-        });
+        } catch (...) {
+          errors[static_cast<std::size_t>(worker)] = std::current_exception();
+        }
+      };
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(jobs - 1));
+      for (int w = 1; w < jobs; ++w) {
+        try {
+          pool.emplace_back(work, w);
+        } catch (...) {  // the started threads must still be joined
+          errors[static_cast<std::size_t>(w)] = std::current_exception();
+          break;
+        }
       }
+      work(0);
       for (auto& th : pool) th.join();
       for (const auto& e : errors)
         if (e) std::rethrow_exception(e);
@@ -779,7 +713,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
       result.interrupted = true;
       result.trials.resize(prefix);
       if (tracing) result.prop_traces.resize(prefix);
-      timing.resize(prefix);
       if (opt.verbose)
         std::fprintf(stderr,
                      "[campaign %s] interrupted at %zu/%zu trials%s\n",

@@ -71,9 +71,10 @@ struct CampaignObs {
 // `jobs` value (trial specs are pre-generated from the seeded Rng before
 // any worker starts, and records are collected back in trial-index order).
 struct CampaignOptions {
-  // Worker threads for the trial loop. 1 runs serially on the calling
-  // thread; 0 or negative uses one worker per hardware thread. Each worker
-  // owns a private Core replica and shares the immutable golden run.
+  // Trial workers. The calling thread is worker 0, so 1 runs serially and
+  // starts no thread; 0 or negative uses one worker per hardware thread.
+  // Each worker owns a private Core replica and shares the immutable golden
+  // run.
   int jobs = 1;
   // Stderr progress notes (golden recording, cache loads, trial counts).
   bool verbose = true;
@@ -88,10 +89,6 @@ struct CampaignOptions {
   // pure execution policy and is NOT part of the CacheKey. Checked runs
   // (check_invariants) always take the slow path.
   bool fast_path = true;
-  // Re-attempts for a trial whose execution throws before it is quarantined
-  // as Outcome::kTrialError. One retry absorbs transient host-level failures
-  // (resource exhaustion) without masking deterministic trial bugs.
-  int retries = 1;
   // Checkpoint/resume: when > 0, the contiguous completed-trial prefix is
   // flushed to a per-CacheKey journal under TFI_CACHE_DIR every this many
   // completed trials (and on interruption), and an existing journal for the
@@ -126,7 +123,7 @@ struct CampaignOptions {
   // Surviving records are byte-identical to an in-process run's at any
   // `jobs` value. Incompatible with propagation tracing and checked runs
   // (both need the trial core in-process); those fall back to in-process
-  // execution with a stderr note. No-op on non-POSIX platforms.
+  // execution with a stderr note.
   bool isolate_trials = false;
   // Worker respawns the isolation supervisor performs before declaring
   // containment exhausted: remaining trials quarantine with Reason::kBudget
@@ -139,10 +136,11 @@ struct CampaignOptions {
   // campaign flushes its checkpoint journal plus the telemetry for the
   // completed prefix and returns with CampaignResult::interrupted set.
   CancellationToken* cancel = nullptr;
-  // Test instrumentation: invoked (from worker threads; must be
-  // thread-safe) with the trial index before each execution attempt. An
-  // exception thrown here takes exactly the quarantine path a throwing
-  // trial would. Never set in production runs.
+  // Test instrumentation: invoked (from worker threads, or in the forked
+  // worker under isolate_trials; must be thread-safe) with the trial index
+  // before each execution attempt. An exception thrown here takes exactly
+  // the retry/quarantine path a throwing trial would. Never set in
+  // production runs.
   std::function<void(std::size_t)> trial_fault_hook;
   // Observability sinks and per-trial propagation tracing.
   CampaignObs obs;
@@ -153,24 +151,20 @@ struct CampaignOptions {
 // the message is diagnostic only and is not persisted in caches or
 // checkpoints.
 struct QuarantinedTrial {
-  enum class Reason : std::uint8_t {
-    kException,  // execution threw (after retries) or violated an invariant
-    kTimeout,    // watchdog deadline (CampaignOptions::trial_timeout_ms)
-    kCrash,      // isolated worker died (signal / nonzero exit)
-    kBudget,     // never ran: isolation restart budget exhausted
-  };
+  using Reason = QuarantineReason;
   std::uint64_t index = 0;
   std::string message;
   Reason reason = Reason::kException;
 };
-const char* QuarantineReasonName(QuarantinedTrial::Reason r);
+const char* QuarantineReasonName(QuarantineReason r);
 
 struct CampaignResult {
   CampaignSpec spec;
   std::vector<TrialRecord> trials;
-  // Trials whose execution threw (after CampaignOptions::retries
-  // re-attempts), in trial-index order. Parallel to the kTrialError records
-  // in `trials`; counted by the campaign.trials.quarantined metric.
+  // Trials whose execution threw (on each of kTrialAttempts attempts),
+  // timed out, crashed or never ran, in trial-index order. Parallel to the
+  // kTrialError records in `trials`; counted by the
+  // campaign.trials.quarantined metric.
   std::vector<QuarantinedTrial> quarantined;
   // True when the campaign was cancelled before completing: `trials` then
   // holds only the contiguous completed prefix (matching the checkpoint

@@ -1,19 +1,18 @@
 #include "inject/isolate.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
+#include <string>
 
-#include "util/failpoint.h"
-
-#ifndef _WIN32
-
-#include <csignal>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "util/failpoint.h"
 
 namespace tfsim {
 namespace {
@@ -24,10 +23,11 @@ using Clock = std::chrono::steady_clock;
 // pipe EOF) shuts the worker down.
 constexpr std::uint64_t kShutdown = ~std::uint64_t{0};
 
-// Child -> parent: fixed header, then `error_len` message bytes. Parent and
-// child are the same binary in the same address space family, so the struct
-// layout is identical on both ends; memcpy in and out keeps the protocol
-// alignment-safe.
+// Child -> parent: fixed header, then `payload_len` bytes holding the error
+// message and each failed attempt's message, each as a 16-bit length and at
+// most 4096 bytes. Parent and child are the same binary in the same address
+// space family, so the struct layout is identical on both ends; memcpy in
+// and out keeps the protocol alignment-safe.
 struct WireFrame {
   std::uint64_t index = 0;
   std::uint64_t dur_us = 0;
@@ -39,9 +39,26 @@ struct WireFrame {
   std::uint32_t valid_instrs = 0;
   std::uint32_t inflight = 0;
   std::uint8_t quarantined = 0;
-  std::uint8_t timed_out = 0;
-  std::uint16_t error_len = 0;
+  std::uint8_t reason = 0;
+  std::uint8_t failed_attempts = 0;
+  std::uint32_t payload_len = 0;
 };
+
+void PutString(std::string& out, const std::string& s) {
+  const auto len =
+      static_cast<std::uint16_t>(std::min<std::size_t>(s.size(), 4096));
+  out.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  out.append(s, 0, len);
+}
+
+std::string GetString(const char*& p) {
+  std::uint16_t len = 0;
+  std::memcpy(&len, p, sizeof(len));
+  p += sizeof(len);
+  std::string s(p, len);
+  p += len;
+  return s;
+}
 
 bool WriteFull(int fd, const void* data, std::size_t len) {
   const char* p = static_cast<const char*>(data);
@@ -80,29 +97,26 @@ bool ReadFull(int fd, void* data, std::size_t len) {
 [[noreturn]] void RunWorkerChild(int rfd, int wfd,
                                  const std::shared_ptr<const GoldenRun>& golden,
                                  const std::vector<TrialSpec>& specs,
-                                 const IsolateOptions& opt) {
+                                 const TrialPolicy& policy,
+                                 const CampaignOptions& opt) {
   // The parent owns interruption policy; a tty SIGINT reaches the whole
   // process group, and a worker dying to it would be recorded as a crash.
   std::signal(SIGINT, SIG_IGN);
-  TrialRunner runner(golden, opt.policy);
+  TrialRunner runner(golden, policy);
   std::size_t cur = 0;
-  TrialRunner::Hooks hooks;
-  hooks.before_attempt = [&] {
-    if (opt.before_trial) opt.before_trial(cur);
-  };
+  std::function<void()> before_attempt;
+  if (opt.trial_fault_hook)
+    before_attempt = [&] { opt.trial_fault_hook(cur); };
+  std::string frame;
   for (;;) {
     std::uint64_t idx = 0;
     if (!ReadFull(rfd, &idx, sizeof(idx)) || idx == kShutdown) ::_exit(0);
     cur = static_cast<std::size_t>(idx);
-    const auto t0 = Clock::now();
-    TrialRunner::Result res = runner.Run(specs[cur], /*want_trace=*/false,
-                                         &hooks);
-    const auto t1 = Clock::now();
+    const TrialRunner::Result res =
+        runner.Run(specs[cur], /*want_trace=*/false, before_attempt);
     WireFrame f;
     f.index = idx;
-    f.dur_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count());
+    f.dur_us = res.dur_us;
     f.outcome = static_cast<std::uint8_t>(res.record.outcome);
     f.mode = static_cast<std::uint8_t>(res.record.mode);
     f.cat = static_cast<std::uint8_t>(res.record.cat);
@@ -111,11 +125,14 @@ bool ReadFull(int fd, void* data, std::size_t len) {
     f.valid_instrs = res.record.valid_instrs;
     f.inflight = res.record.inflight;
     f.quarantined = res.quarantined ? 1 : 0;
-    f.timed_out = res.timed_out ? 1 : 0;
-    const std::size_t elen = std::min<std::size_t>(res.error.size(), 4096);
-    f.error_len = static_cast<std::uint16_t>(elen);
-    if (!WriteFull(wfd, &f, sizeof(f)) ||
-        (elen && !WriteFull(wfd, res.error.data(), elen)))
+    f.reason = static_cast<std::uint8_t>(res.reason);
+    f.failed_attempts = static_cast<std::uint8_t>(res.failed_attempts.size());
+    frame.assign(sizeof(f), '\0');
+    PutString(frame, res.error);
+    for (const std::string& m : res.failed_attempts) PutString(frame, m);
+    f.payload_len = static_cast<std::uint32_t>(frame.size() - sizeof(f));
+    std::memcpy(frame.data(), &f, sizeof(f));
+    if (!WriteFull(wfd, frame.data(), frame.size()))
       ::_exit(3);  // parent gone; nothing left to report to
   }
 }
@@ -137,24 +154,27 @@ const char* SignalName(int sig) {
   return s ? s : "unknown signal";
 }
 
-// The default-constructed kTrialError stand-in — byte-identical to what
-// TrialRunner::Run produces for an in-process quarantine, so isolated and
-// in-process campaigns disagree on nothing but the diagnostics.
-TrialRecord QuarantineRecord() {
-  TrialRecord rec{};
-  rec.outcome = Outcome::kTrialError;
-  return rec;
+// A quarantined stand-in whose record is the default-constructed
+// kTrialError one — byte-identical to what TrialRunner::Run produces for an
+// in-process quarantine, so isolated and in-process campaigns disagree on
+// nothing but the diagnostics.
+TrialRunner::Result Quarantined(QuarantineReason reason, std::string error) {
+  TrialRunner::Result res;
+  res.record.outcome = Outcome::kTrialError;
+  res.quarantined = true;
+  res.reason = reason;
+  res.error = std::move(error);
+  return res;
 }
 
 }  // namespace
 
-bool IsolationSupported() { return true; }
-
 IsolateReport RunTrialsIsolated(
     const std::shared_ptr<const GoldenRun>& golden,
-    const std::vector<TrialSpec>& specs, std::size_t first,
-    const IsolateOptions& opt,
-    const std::function<void(IsolatedTrial&&)>& on_result) {
+    const std::vector<TrialSpec>& specs, std::size_t first, int jobs_wanted,
+    const TrialPolicy& policy, const CampaignOptions& opt,
+    const std::function<void(std::size_t index, int worker,
+                             TrialRunner::Result&&)>& on_result) {
   IsolateReport report;
   const std::size_t total = specs.size();
   if (first >= total) return report;
@@ -164,7 +184,7 @@ IsolateReport RunTrialsIsolated(
   // supervisor relies on — so children close every descriptor that is not
   // their own pair, and the supervisor re-derives the open set per spawn.
   const int jobs = std::max(
-      1, std::min<int>(opt.jobs, static_cast<int>(total - first)));
+      1, std::min<int>(jobs_wanted, static_cast<int>(total - first)));
   std::vector<Worker> workers(static_cast<std::size_t>(jobs));
 
   // Writes to a worker that died race with the supervisor noticing; EPIPE
@@ -175,9 +195,9 @@ IsolateReport RunTrialsIsolated(
   // Parent-side hard deadline per trial: generously above the child's own
   // watchdog so it only fires when the child is too wedged to enforce it.
   const std::int64_t hard_ms =
-      opt.policy.timeout_ms > 0 ? opt.policy.timeout_ms * 2 + 250 : 0;
+      policy.timeout_ms > 0 ? policy.timeout_ms * 2 + 250 : 0;
 
-  int restarts_left = std::max(opt.max_restarts, 0);
+  int restarts_left = std::max(opt.max_worker_restarts, 0);
   std::size_t next = first;
   std::vector<std::size_t> requeued;  // hand-offs that never reached a child
   bool exhausted = false;
@@ -203,7 +223,7 @@ IsolateReport RunTrialsIsolated(
       }
       ::close(to[1]);
       ::close(from[0]);
-      RunWorkerChild(to[0], from[1], golden, specs, opt);
+      RunWorkerChild(to[0], from[1], golden, specs, policy, opt);
     }
     fail::detail::ParentAfterFork();
     ::close(to[0]);
@@ -237,40 +257,35 @@ IsolateReport RunTrialsIsolated(
     w.alive = false;
     const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
     if (w.busy) {
-      IsolatedTrial t;
-      t.index = w.trial;
-      t.record = QuarantineRecord();
-      t.quarantined = true;
-      t.worker = static_cast<int>(slot);
-      t.dur_us = static_cast<std::uint64_t>(
+      const std::string who = "worker " + std::to_string(slot);
+      TrialRunner::Result res;
+      if (w.killed) {
+        res = Quarantined(QuarantineReason::kTimeout,
+                          who + " hard-killed after " +
+                              std::to_string(hard_ms) +
+                              "ms (trial unresponsive)");
+        res.status = SIGKILL;
+      } else if (WIFSIGNALED(status)) {
+        const int sig = WTERMSIG(status);
+        res = Quarantined(QuarantineReason::kCrash,
+                          who + " killed by signal " + std::to_string(sig) +
+                              " (" + SignalName(sig) + ")");
+        res.status = static_cast<std::uint64_t>(sig);
+      } else {
+        res = Quarantined(QuarantineReason::kCrash,
+                          who + " exited with status " +
+                              std::to_string(WEXITSTATUS(status)));
+        res.status = static_cast<std::uint64_t>(WEXITSTATUS(status));
+      }
+      res.dur_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 w.started)
               .count());
-      if (w.killed) {
-        t.timed_out = true;
-        t.status = SIGKILL;
-        t.error = "worker " + std::to_string(slot) + " hard-killed after " +
-                  std::to_string(hard_ms) + "ms (trial unresponsive)";
-        ++report.timeouts;
-      } else {
-        t.crashed = true;
-        if (WIFSIGNALED(status)) {
-          const int sig = WTERMSIG(status);
-          t.status = static_cast<std::uint64_t>(sig);
-          t.error = "worker " + std::to_string(slot) + " killed by signal " +
-                    std::to_string(sig) + " (" + SignalName(sig) + ")";
-        } else {
-          t.status = static_cast<std::uint64_t>(WEXITSTATUS(status));
-          t.error = "worker " + std::to_string(slot) +
-                    " exited with status " + std::to_string(WEXITSTATUS(status));
-        }
-        ++report.crashes;
-      }
       if (opt.verbose)
         std::fprintf(stderr, "[isolate] trial %zu lost: %s\n", w.trial,
-                     t.error.c_str());
+                     res.error.c_str());
       w.busy = false;
-      on_result(std::move(t));
+      on_result(w.trial, static_cast<int>(slot), std::move(res));
     } else if (!clean && opt.verbose) {
       std::fprintf(stderr, "[isolate] idle worker %zu died (status %d)\n",
                    slot, status);
@@ -301,25 +316,27 @@ IsolateReport RunTrialsIsolated(
       if (w.buf.size() < sizeof(WireFrame)) return;
       WireFrame f;
       std::memcpy(&f, w.buf.data(), sizeof(f));
-      if (w.buf.size() < sizeof(f) + f.error_len) return;
-      IsolatedTrial t;
-      t.index = static_cast<std::size_t>(f.index);
-      t.record.outcome = static_cast<Outcome>(f.outcome);
-      t.record.mode = static_cast<FailureMode>(f.mode);
-      t.record.cat = static_cast<StateCat>(f.cat);
-      t.record.storage = static_cast<Storage>(f.storage);
-      t.record.cycles = f.cycles;
-      t.record.valid_instrs = f.valid_instrs;
-      t.record.inflight = f.inflight;
-      t.quarantined = f.quarantined != 0;
-      t.timed_out = f.timed_out != 0;
-      t.dur_us = f.dur_us;
-      t.worker = static_cast<int>(slot);
-      t.error.assign(w.buf.data() + sizeof(f), f.error_len);
-      w.buf.erase(0, sizeof(f) + f.error_len);
-      if (t.timed_out) ++report.timeouts;
+      const std::size_t len = sizeof(f) + f.payload_len;
+      if (w.buf.size() < len) return;
+      TrialRunner::Result res;
+      res.record.outcome = static_cast<Outcome>(f.outcome);
+      res.record.mode = static_cast<FailureMode>(f.mode);
+      res.record.cat = static_cast<StateCat>(f.cat);
+      res.record.storage = static_cast<Storage>(f.storage);
+      res.record.cycles = f.cycles;
+      res.record.valid_instrs = f.valid_instrs;
+      res.record.inflight = f.inflight;
+      res.quarantined = f.quarantined != 0;
+      res.reason = static_cast<QuarantineReason>(f.reason);
+      res.dur_us = f.dur_us;
+      const char* p = w.buf.data() + sizeof(f);
+      res.error = GetString(p);
+      for (int k = 0; k < f.failed_attempts; ++k)
+        res.failed_attempts.push_back(GetString(p));
+      w.buf.erase(0, len);
       w.busy = false;
-      on_result(std::move(t));
+      on_result(static_cast<std::size_t>(f.index), static_cast<int>(slot),
+                std::move(res));
     }
   };
 
@@ -424,17 +441,11 @@ IsolateReport RunTrialsIsolated(
     report.exhausted = true;
     std::vector<std::size_t> leftovers = std::move(requeued);
     for (std::size_t i = next; i < total; ++i) leftovers.push_back(i);
-    for (std::size_t idx : leftovers) {
-      IsolatedTrial t;
-      t.index = idx;
-      t.record = QuarantineRecord();
-      t.quarantined = true;
-      t.budget_exhausted = true;
-      t.error = "not executed: worker restart budget exhausted";
-      on_result(std::move(t));
-    }
+    for (std::size_t idx : leftovers)
+      on_result(idx, 0,
+                Quarantined(QuarantineReason::kBudget,
+                            "not executed: worker restart budget exhausted"));
   }
-  report.interrupted = interrupted;
 
   // Shutdown: closing the command pipe EOFs every child's next read.
   for (std::size_t s = 0; s < workers.size(); ++s) {
@@ -455,21 +466,3 @@ IsolateReport RunTrialsIsolated(
 }
 
 }  // namespace tfsim
-
-#else  // _WIN32
-
-namespace tfsim {
-
-bool IsolationSupported() { return false; }
-
-IsolateReport RunTrialsIsolated(const std::shared_ptr<const GoldenRun>&,
-                                const std::vector<TrialSpec>&, std::size_t,
-                                const IsolateOptions&,
-                                const std::function<void(IsolatedTrial&&)>&) {
-  throw std::runtime_error(
-      "trial isolation requires fork(); unsupported on this platform");
-}
-
-}  // namespace tfsim
-
-#endif

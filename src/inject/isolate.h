@@ -11,83 +11,45 @@
 // to in-process execution. Children run exactly one TrialRunner and spawn no
 // threads (fork from a multi-threaded parent is safe only on that
 // discipline; it also keeps TSan happy). Trial results return over a pipe as
-// fixed-layout frames; the parent fills per-index slots, so surviving
-// records are byte-identical to an in-process run at any worker count.
+// framed TrialRunner::Results and reach the same completion routine as an
+// in-process worker's, so surviving records and their telemetry are
+// byte-identical to an in-process run at any worker count.
 //
-// This is the containment substrate RunCampaign's --isolate-trials mode (and
-// the ROADMAP's distributed `tfi serve`) builds on.
+// This is the substrate of RunCampaign's --isolate-trials mode.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "inject/campaign.h"
 #include "inject/golden.h"
-#include "inject/outcome.h"
 #include "inject/trial.h"
-#include "util/cancel.h"
 
 namespace tfsim {
 
-// True where fork-based isolation is implemented (POSIX).
-bool IsolationSupported();
-
-struct IsolateOptions {
-  // Concurrent worker subprocesses (already resolved; >= 1).
-  int jobs = 1;
-  // Execution policy forwarded to every child's TrialRunner. timeout_ms is
-  // doubly enforced: the child's own watchdog converts in-loop hangs into
-  // clean kTrialTimeout frames, and the parent hard-kills (SIGKILL) any
-  // worker silent for 2*timeout_ms + 250ms — a hang the child cannot see
-  // (e.g. outside the cycle loop) still cannot stall the campaign. With
-  // timeout_ms == 0 the parent never hard-kills.
-  TrialPolicy policy;
-  // Workers respawned after a crash/hard-kill before the supervisor declares
-  // containment exhausted and stops (remaining trials are quarantined).
-  int max_restarts = 16;
-  // Cooperative cancellation: in-flight trials finish (deadline permitting),
-  // no new ones start, report.interrupted is set.
-  CancellationToken* cancel = nullptr;
-  // Test instrumentation, executed IN THE CHILD before each attempt (the
-  // isolate-mode equivalent of CampaignOptions::trial_fault_hook): a throw
-  // quarantines, a crash or hang exercises the supervisor.
-  std::function<void(std::size_t)> before_trial;
-  bool verbose = false;
-};
-
-// One trial's outcome as observed by the supervisor.
-struct IsolatedTrial {
-  std::size_t index = 0;
-  TrialRecord record;           // kTrialError stand-in when quarantined
-  bool quarantined = false;     // any reason
-  bool timed_out = false;       // child watchdog or parent hard-kill
-  bool crashed = false;         // worker died (signal / nonzero exit)
-  bool budget_exhausted = false;  // synthesized: never ran, budget spent
-  std::uint64_t status = 0;     // crash: signal number or exit status
-  std::uint64_t dur_us = 0;     // wall time (parent-observed for crashes)
-  int worker = 0;               // supervisor worker slot
-  std::string error;            // diagnostic (not persisted)
-};
-
 struct IsolateReport {
   bool exhausted = false;       // restart budget ran out mid-campaign
-  bool interrupted = false;     // cancellation observed
   std::uint64_t restarts = 0;   // workers respawned
-  std::uint64_t crashes = 0;    // trials lost to worker death
-  std::uint64_t timeouts = 0;   // trials lost to deadlines (child or parent)
 };
 
-// Runs specs[first..size) in isolated workers, invoking `on_result` once per
-// trial index (in completion order, from the supervisor thread — never
-// concurrently). Every index in [first, size) gets exactly one callback:
-// a real record, a quarantined stand-in, or a budget_exhausted stand-in.
-// Throws std::runtime_error where IsolationSupported() is false.
+// Runs specs[first..size) in `jobs` forked workers, each a TrialRunner under
+// `policy` that calls opt.trial_fault_hook (in the child) before every
+// attempt. Every index in [first, size) reaches `on_result` exactly once, in
+// completion order, from the calling thread (never concurrently), with the
+// slot of the worker that ran it: the child's Result as it crossed the
+// pipe, or a quarantined stand-in for a worker that died (kCrash), was
+// hard-killed (kTimeout) or never ran it (kBudget). policy.timeout_ms is
+// doubly enforced: the child's own watchdog converts in-loop hangs into
+// clean timeouts, and the parent SIGKILLs any worker silent for
+// 2*timeout_ms + 250ms. Dead workers are respawned up to
+// opt.max_worker_restarts times; opt.cancel stops new hand-outs.
 IsolateReport RunTrialsIsolated(
     const std::shared_ptr<const GoldenRun>& golden,
-    const std::vector<TrialSpec>& specs, std::size_t first,
-    const IsolateOptions& opt,
-    const std::function<void(IsolatedTrial&&)>& on_result);
+    const std::vector<TrialSpec>& specs, std::size_t first, int jobs,
+    const TrialPolicy& policy, const CampaignOptions& opt,
+    const std::function<void(std::size_t index, int worker,
+                             TrialRunner::Result&&)>& on_result);
 
 }  // namespace tfsim

@@ -124,10 +124,6 @@ TrialRunner::TrialRunner(std::shared_ptr<const GoldenRun> golden,
   core_ = std::make_unique<Core>(cfg, golden_->program);
 }
 
-std::uint64_t TrialRunner::window() const {
-  return policy_.window != 0 ? policy_.window : golden_->spec.window;
-}
-
 void TrialRunner::ArmDeadline() {
   if (policy_.timeout_ms > 0)
     deadline_ = std::chrono::steady_clock::now() +
@@ -142,18 +138,18 @@ void TrialRunner::CheckDeadline() const {
                           "ms watchdog deadline");
 }
 
-TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
-                                     const Hooks* hooks) {
+TrialRunner::Result TrialRunner::Run(
+    const TrialSpec& spec, bool want_trace,
+    const std::function<void()>& before_attempt) {
   Result res;
-  const int attempts = 1 + std::max(policy_.retries, 0);
+  const auto t0 = std::chrono::steady_clock::now();
   bool ok = false;
-  for (int attempt = 1; attempt <= attempts && !ok; ++attempt) {
-    res.attempts = attempt;
+  for (int attempt = 1; attempt <= kTrialAttempts && !ok; ++attempt) {
     // The deadline covers the whole attempt, hooks included: a stalled
     // before_attempt hook shows up at the first in-loop check.
     ArmDeadline();
     try {
-      if (hooks != nullptr && hooks->before_attempt) hooks->before_attempt();
+      if (before_attempt) before_attempt();
       obs::PropagationTrace attempt_trace;
       bool fast = false;
       res.record =
@@ -165,16 +161,20 @@ TrialRunner::Result TrialRunner::Run(const TrialSpec& spec, bool want_trace,
       // No retry: a deterministic hang would eat every re-attempt's budget
       // too. Straight to quarantine with the timeout cause preserved.
       res.error = e.what();
-      res.timed_out = true;
+      res.reason = QuarantineReason::kTimeout;
       break;
     } catch (const std::exception& e) {
       res.error = e.what();
+      res.failed_attempts.push_back(res.error);
     } catch (...) {
       res.error = "unknown error";
+      res.failed_attempts.push_back(res.error);
     }
-    if (!ok && hooks != nullptr && hooks->on_retry)
-      hooks->on_retry(attempt, res.error);
   }
+  res.dur_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   if (!ok) {
     res.record = TrialRecord{};
     res.record.outcome = Outcome::kTrialError;

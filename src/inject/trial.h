@@ -43,15 +43,15 @@ struct TrialSpec {
   bool adjacent = false;
 };
 
+// Execution attempts per trial: a throwing attempt is retried once, which
+// absorbs transient host-level failures (resource exhaustion) without
+// masking deterministic trial bugs. Timeouts are never retried.
+inline constexpr int kTrialAttempts = 2;
+
 // How TrialRunner executes trials. Execution policy only: every combination
-// of fast_path and window classifies a given TrialSpec identically (window
-// changes the observation length, which IS part of the result — it is a
-// policy knob so hosts can thread GoldenRunSpec::window through explicitly;
-// 0 means "the golden run's window").
+// classifies a given TrialSpec identically.
 struct TrialPolicy {
   bool fast_path = true;        // use fast-path data when the golden has it
-  std::uint64_t window = 0;     // observation window; 0 = golden.spec.window
-  int retries = 1;              // re-attempts before quarantining a throw
   bool check_invariants = false;  // run the replica with the cycle checker
   // Watchdog deadline per execution attempt, in wall milliseconds; 0 = off.
   // A fault-corrupted machine that wedges the simulation loop (or a hook
@@ -61,6 +61,14 @@ struct TrialPolicy {
   // at attempt start and every 256 simulated cycles, so enforcement
   // granularity is a few hundred cycles, not instructions.
   std::int64_t timeout_ms = 0;
+};
+
+// Why a trial's record is the kTrialError stand-in.
+enum class QuarantineReason : std::uint8_t {
+  kException,  // execution threw on every attempt or violated an invariant
+  kTimeout,    // watchdog deadline (TrialPolicy::timeout_ms)
+  kCrash,      // isolated worker died (signal / nonzero exit)
+  kBudget,     // never ran: isolation restart budget exhausted
 };
 
 // Thrown by the trial runner when an attempt exceeds TrialPolicy::timeout_ms.
@@ -105,50 +113,47 @@ FastPathPlan PlanFastPath(const GoldenSpec& spec,
 // Runs fault-injection trials against one golden run on a privately owned
 // core replica (campaign workers hold one runner each; the golden run is
 // shared read-only). Classification depends only on the golden run, the
-// TrialSpec, and the effective window — never on fast_path, retries, or how
-// many trials ran before.
+// TrialSpec, and the golden run's window — never on fast_path, retries, or
+// how many trials ran before.
 class TrialRunner {
  public:
   explicit TrialRunner(std::shared_ptr<const GoldenRun> golden,
                        TrialPolicy policy = {});
 
+  // One finished trial, as a campaign's completion routine consumes it from
+  // an in-process worker or over an isolated worker's pipe.
   struct Result {
     TrialRecord record;
     // Populated when Run() was asked to trace; identical to a slow traced
     // trial's on every path.
     obs::PropagationTrace trace;
     bool fast = false;        // classified from first-access data, no sim
-    int attempts = 1;         // execution attempts consumed
     bool quarantined = false; // record is the kTrialError stand-in
-    bool timed_out = false;   // quarantine cause was the watchdog deadline
+    QuarantineReason reason = QuarantineReason::kException;  // if quarantined
     std::string error;        // last failure message when quarantined
+    // Messages of the attempts that threw, in attempt order (a quarantined
+    // exception holds kTrialAttempts of them, the last equal to `error`).
+    std::vector<std::string> failed_attempts;
+    std::uint64_t status = 0;  // kCrash: the signal number or exit status
+    std::uint64_t dur_us = 0;  // wall time of all attempts together
   };
 
-  // Host instrumentation around the retry loop (campaign telemetry/tests).
-  struct Hooks {
-    // Invoked before each execution attempt; a throw takes the same
-    // retry/quarantine path as a throwing trial.
-    std::function<void()> before_attempt;
-    // Invoked after each failed attempt with its 1-based number.
-    std::function<void(int attempt, const std::string& error)> on_retry;
-  };
-
-  // Runs one trial: up to 1 + max(retries, 0) attempts, then quarantine.
-  // Under check_invariants, a structurally inconsistent machine also
-  // quarantines (the violating attempt's trace is kept; the checker state
-  // stays readable via core() until the next Run).
+  // Runs one trial: up to kTrialAttempts attempts, then quarantine.
+  // `before_attempt`, when set, runs before each attempt; a throw takes the
+  // same retry/quarantine path as a throwing trial. Under check_invariants,
+  // a structurally inconsistent machine also quarantines (the violating
+  // attempt's trace is kept; the checker state stays readable via core()
+  // until the next Run).
   Result Run(const TrialSpec& spec, bool want_trace = false,
-             const Hooks* hooks = nullptr);
+             const std::function<void()>& before_attempt = nullptr);
 
   // The owned replica: registry layout for site introspection, and the
   // invariant checker's verdicts after a checked Run(). Mutated by Run().
   Core& core() { return *core_; }
   const Core& core() const { return *core_; }
 
-  const GoldenRun& golden() const { return *golden_; }
-  const TrialPolicy& policy() const { return policy_; }
   // The observation window Run() classifies against.
-  std::uint64_t window() const;
+  std::uint64_t window() const { return golden_->spec.window; }
 
  private:
   // Watchdog: armed per attempt; CheckDeadline throws TrialTimeoutError once

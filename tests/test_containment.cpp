@@ -10,13 +10,16 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "inject/cache.h"
 #include "inject/campaign.h"
-#include "inject/isolate.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 
 namespace tfsim {
@@ -93,7 +96,6 @@ TEST(Watchdog, HungHookIsQuarantinedAsTimeout) {
     CampaignOptions opt = QuietLive();
     opt.jobs = jobs;
     opt.trial_timeout_ms = Ms(50).count();
-    opt.retries = 3;  // a timeout must NOT consume retries
     opt.obs.sinks.metrics = &metrics;
     opt.trial_fault_hook = [](std::size_t i) {
       // Trial 2 wedges: the hook outlives the deadline; the in-loop check
@@ -125,7 +127,6 @@ TEST(Watchdog, RunnerReportsTimedOutWithoutRetrying) {
   obs::MetricsRegistry metrics;
   CampaignOptions hung = QuietLive();
   hung.trial_timeout_ms = Ms(40).count();
-  hung.retries = 5;
   hung.obs.sinks.metrics = &metrics;
   int calls = 0;
   hung.trial_fault_hook = [&calls](std::size_t) {
@@ -154,10 +155,7 @@ TEST(Watchdog, EnvOverrideArmsTheDeadline) {
   EXPECT_EQ(r.quarantined[0].reason, QuarantinedTrial::Reason::kTimeout);
 }
 
-#ifndef _WIN32
-
 TEST(Isolate, CleanRunMatchesInProcessByteForByte) {
-  ASSERT_TRUE(IsolationSupported());
   const CampaignSpec spec = SmallCampaign(10);
   const CampaignResult reference = RunCampaign(spec, QuietLive());
 
@@ -285,6 +283,94 @@ TEST(Isolate, ExhaustedRestartBudgetQuarantinesTheRemainder) {
     EXPECT_NE(healed.trials[i].outcome, Outcome::kTrialError) << i;
 }
 
+// Collects the journal's events; read only after RunCampaign flushed it.
+class CollectSink : public obs::EventSink {
+ public:
+  void OnEvent(const obs::Event& e) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back(e);
+  }
+  std::vector<obs::Event> Events() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return events_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<obs::Event> events_;
+};
+
+// Runs `spec` with a journal attached and returns its events.
+std::vector<obs::Event> JournaledRun(const CampaignSpec& spec,
+                                     CampaignOptions opt) {
+  obs::EventJournal journal;
+  CollectSink collect;
+  journal.AddSink(&collect);
+  opt.obs.events = &journal;
+  RunCampaign(spec, opt);
+  journal.RemoveSink(&collect);
+  return collect.Events();
+}
+
+// The kTrialDone events of a run, by trial index.
+std::map<std::int64_t, obs::Event> TrialDoneByIndex(
+    const std::vector<obs::Event>& events) {
+  std::map<std::int64_t, obs::Event> done;
+  for (const obs::Event& e : events)
+    if (e.kind == obs::EventKind::kTrialDone) done.emplace(e.trial, e);
+  return done;
+}
+
+TEST(Isolate, TrialDonePayloadMatchesInProcess) {
+  const CampaignSpec spec = SmallCampaign(10);
+  const auto reference = TrialDoneByIndex(JournaledRun(spec, QuietLive()));
+  ASSERT_EQ(reference.size(), 10u);
+
+  for (bool isolate : {false, true}) {
+    for (int jobs : {1, 4}) {
+      CampaignOptions opt = QuietLive();
+      opt.jobs = jobs;
+      opt.isolate_trials = isolate;
+      const auto done = TrialDoneByIndex(JournaledRun(spec, opt));
+      ASSERT_EQ(done.size(), reference.size())
+          << "isolate=" << isolate << " jobs=" << jobs;
+      for (const auto& [i, ref] : reference) {
+        const obs::Event& e = done.at(i);
+        SCOPED_TRACE("isolate=" + std::to_string(isolate) +
+                     " jobs=" + std::to_string(jobs) +
+                     " trial=" + std::to_string(i));
+        EXPECT_EQ(e.outcome, ref.outcome);
+        EXPECT_EQ(e.mode, ref.mode);
+        EXPECT_EQ(e.cat, ref.cat);
+        EXPECT_EQ(e.storage, ref.storage);
+        EXPECT_EQ(e.cycles, ref.cycles);
+        EXPECT_EQ(e.field, ref.field);
+        EXPECT_EQ(e.field_bits, ref.field_bits);
+      }
+    }
+  }
+}
+
+TEST(Isolate, CrashYieldsOneCrashAndOneTrialDone) {
+  const CampaignSpec spec = SmallCampaign(10);
+  for (int jobs : {1, 4}) {
+    CampaignOptions opt = QuietLive();
+    opt.jobs = jobs;
+    opt.isolate_trials = true;
+    opt.trial_fault_hook = [](std::size_t i) {
+      if (i == 4) std::raise(SIGKILL);
+    };
+    int crashes = 0, done = 0;
+    for (const obs::Event& e : JournaledRun(spec, opt)) {
+      if (e.trial != 4) continue;
+      if (e.kind == obs::EventKind::kTrialCrash) ++crashes;
+      if (e.kind == obs::EventKind::kTrialDone) ++done;
+    }
+    EXPECT_EQ(crashes, 1) << "jobs=" << jobs;
+    EXPECT_EQ(done, 1) << "jobs=" << jobs;
+  }
+}
+
 TEST(Isolate, FallsBackInProcessWhenTracing) {
   // Tracing needs the trial core in-process; --isolate-trials must degrade
   // to normal execution, not silently drop traces.
@@ -296,8 +382,6 @@ TEST(Isolate, FallsBackInProcessWhenTracing) {
   EXPECT_EQ(r.prop_traces.size(), 4u);
   EXPECT_FALSE(r.containment_exhausted);
 }
-
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace tfsim

@@ -271,7 +271,6 @@ TEST(Quarantine, ThrowingTrialDoesNotAbortTheCampaign) {
   obs::MetricsRegistry metrics;
   CampaignOptions opt = QuietLive();
   opt.jobs = 4;
-  opt.retries = 1;
   opt.obs.sinks.metrics = &metrics;
   opt.trial_fault_hook = [](std::size_t i) {
     if (i == 3) throw std::runtime_error("deliberate trial fault");
@@ -300,7 +299,6 @@ TEST(Quarantine, TransientFailureIsAbsorbedByRetry) {
 
   std::atomic<int> faults{0};
   CampaignOptions opt = QuietLive();
-  opt.retries = 1;
   opt.trial_fault_hook = [&faults](std::size_t i) {
     // Throws on the first attempt of trial 2 only; the retry succeeds.
     if (i == 2 && faults.fetch_add(1) == 0)
@@ -310,18 +308,6 @@ TEST(Quarantine, TransientFailureIsAbsorbedByRetry) {
   EXPECT_EQ(faults.load(), 2);  // first attempt + successful retry
   EXPECT_TRUE(r.quarantined.empty());
   ExpectSameRecords(r, reference, reference.trials.size());
-
-  // With retries disabled the same transient quarantines the trial.
-  std::atomic<int> faults2{0};
-  CampaignOptions no_retry = QuietLive();
-  no_retry.retries = 0;
-  no_retry.trial_fault_hook = [&faults2](std::size_t i) {
-    if (i == 2 && faults2.fetch_add(1) == 0)
-      throw std::runtime_error("transient");
-  };
-  const CampaignResult q = RunCampaign(spec, no_retry);
-  ASSERT_EQ(q.quarantined.size(), 1u);
-  EXPECT_EQ(q.quarantined[0].index, 2u);
 }
 
 TEST(CheckpointResume, SeededJournalYieldsByteIdenticalRecords) {

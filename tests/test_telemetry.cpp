@@ -215,39 +215,44 @@ TEST(Telemetry, CancellationYieldsWellFormedPrefixAndInterruptedFinish) {
 
 TEST(Telemetry, RetryAndQuarantineBecomeEvents) {
   const CampaignSpec spec = SmallCampaign(8);
-  obs::EventJournal journal;
-  CollectSink collect;
-  journal.AddSink(&collect);
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
-  opt.retries = 1;
-  opt.obs.events = &journal;
-  opt.trial_fault_hook = [](std::size_t i) {
-    if (i == 3) throw std::runtime_error("injected host fault");
-  };
-  const CampaignResult r = RunCampaign(spec, opt);
-  journal.RemoveSink(&collect);
+  // In-process and in forked workers: the failed attempts' messages travel
+  // with the trial's result, so both report the same retry telemetry.
+  for (bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    obs::EventJournal journal;
+    CollectSink collect;
+    journal.AddSink(&collect);
+    CampaignOptions opt;
+    opt.verbose = false;
+    opt.use_cache = false;
+    opt.isolate_trials = isolate;
+    opt.obs.events = &journal;
+    opt.trial_fault_hook = [](std::size_t i) {
+      if (i == 3) throw std::runtime_error("injected host fault");
+    };
+    const CampaignResult r = RunCampaign(spec, opt);
+    journal.RemoveSink(&collect);
 
-  ASSERT_EQ(r.trials.size(), 8u);
-  EXPECT_EQ(r.trials[3].outcome, Outcome::kTrialError);
-  ASSERT_EQ(r.quarantined.size(), 1u);
-  EXPECT_EQ(r.quarantined[0].index, 3u);
+    ASSERT_EQ(r.trials.size(), 8u);
+    EXPECT_EQ(r.trials[3].outcome, Outcome::kTrialError);
+    ASSERT_EQ(r.quarantined.size(), 1u);
+    EXPECT_EQ(r.quarantined[0].index, 3u);
 
-  int retries = 0, quarantines = 0;
-  for (const obs::Event& e : collect.Events()) {
-    if (e.kind == obs::EventKind::kTrialRetry) {
-      ++retries;
-      EXPECT_EQ(e.trial, 3);
-      EXPECT_EQ(e.detail, "injected host fault");
+    int retries = 0, quarantines = 0;
+    for (const obs::Event& e : collect.Events()) {
+      if (e.kind == obs::EventKind::kTrialRetry) {
+        ++retries;
+        EXPECT_EQ(e.trial, 3);
+        EXPECT_EQ(e.detail, "injected host fault");
+      }
+      if (e.kind == obs::EventKind::kTrialQuarantine) {
+        ++quarantines;
+        EXPECT_EQ(e.trial, 3);
+      }
     }
-    if (e.kind == obs::EventKind::kTrialQuarantine) {
-      ++quarantines;
-      EXPECT_EQ(e.trial, 3);
-    }
+    EXPECT_EQ(retries, 2);  // initial attempt + one retry, both threw
+    EXPECT_EQ(quarantines, 1);
   }
-  EXPECT_EQ(retries, 2);  // initial attempt + one retry, both threw
-  EXPECT_EQ(quarantines, 1);
 }
 
 TEST(Telemetry, ProgressSinkReportsRateAndFinalSummary) {

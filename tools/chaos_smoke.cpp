@@ -9,7 +9,7 @@
 //   2. Watchdog containment: a trial hook that wedges past the
 //      trial_timeout_ms deadline must be quarantined as a timeout while
 //      every other trial's record survives unchanged.
-//   3. Fork isolation (POSIX): a trial hook that SIGKILLs the worker under
+//   3. Fork isolation: a trial hook that SIGKILLs the worker under
 //      --isolate-trials must be contained as a crash quarantine, the worker
 //      respawned, and the surviving records byte-identical.
 //
@@ -18,19 +18,15 @@
 //
 //   chaos_smoke [workload] [--trials N]
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string_view>
 
 #include "inject/campaign.h"
-#include "inject/isolate.h"
 #include "util/argparse.h"
 #include "util/failpoint.h"
-
-#ifndef _WIN32
-#include <csignal>
-#endif
 
 using namespace tfsim;
 
@@ -150,10 +146,9 @@ int main(int argc, char** argv) {
       return Fail("watchdog: surviving records differ from the reference");
   }
 
-#ifndef _WIN32
   // Phase 3: fork isolation. A trial that kills its worker process must be
   // contained as a crash quarantine with the worker respawned.
-  if (IsolationSupported()) {
+  {
     std::filesystem::remove_all(dir);
     const std::size_t victim = 4;
     CampaignOptions iso = base;
@@ -171,7 +166,6 @@ int main(int argc, char** argv) {
     if (!SurvivorsMatch(crashed, reference, victim))
       return Fail("isolation: surviving records differ from the reference");
   }
-#endif
 
   std::printf(
       "chaos_smoke: OK (%zu trials; durability chaos, watchdog, and fork "
