@@ -61,17 +61,19 @@ std::string SerializeResultPayload(const CampaignResult& r) {
   return os.str();
 }
 
-// Parses a v2 payload from `in` into `r` (spec already set).
+// Parses a v2 payload from `in` into `r` (spec already set), rejecting one
+// whose record count differs from the spec's or that has trailing bytes.
 bool ParseResultPayload(std::istream& in, CampaignResult& r) {
   std::size_t n = 0;
   in >> n;
   for (int c = 0; c < kNumStateCats; ++c)
     in >> r.inventory[c].latch_bits >> r.inventory[c].ram_bits;
   in >> r.golden_ipc >> r.golden_bp_accuracy >> r.golden_dcache_misses;
-  if (!in) return false;
+  if (!in || n != static_cast<std::size_t>(r.spec.trials)) return false;
   r.trials.resize(n);
   for (auto& t : r.trials)
     if (!ReadTrial(in, t)) return false;
+  if (!(in >> std::ws).eof()) return false;
   // Rebuild the quarantine index (messages are diagnostic-only and not
   // persisted) so cached and live results agree on its shape.
   for (std::size_t i = 0; i < n; ++i)

@@ -401,15 +401,13 @@ CampaignResult RunCampaign(const CampaignSpec& spec,
   if (tracing) result.prop_traces.resize(n);
   std::vector<TrialTiming> timing(chrome ? n : 0);
 
-  // Checkpoint journaling. TFI_CHECKPOINT_EVERY overrides the option so
-  // smoke tests can force tiny intervals on any binary. Trace-collecting
-  // runs never journal: the journal holds records only, and a resumed
-  // prefix without its traces would break trace/record parallelism.
-  const std::int64_t every_env =
-      EnvInt("TFI_CHECKPOINT_EVERY", opt.checkpoint_every);
-  const std::uint64_t journal_every = (!tracing && !checked && every_env > 0)
-                                          ? static_cast<std::uint64_t>(every_env)
-                                          : 0;
+  // Checkpoint journaling. Trace-collecting runs never journal: the journal
+  // holds records only, and a resumed prefix without its traces would break
+  // trace/record parallelism.
+  const std::uint64_t journal_every =
+      (!tracing && !checked && opt.checkpoint_every > 0)
+          ? static_cast<std::uint64_t>(opt.checkpoint_every)
+          : 0;
 
   // Per-trial completion flags: the release store in the completion routine
   // pairs with the acquire scan in the checkpointer, making the record slots

@@ -85,19 +85,18 @@ struct CampaignOptions {
   // data during the golden run, then start trials at their injection point
   // and classify provably convergent/latent trials without simulating.
   // Results are byte-identical to the slow path (pinned by
-  // tests/test_fastpath.cpp and the fastpath_ab_smoke ctest), so this is
-  // pure execution policy and is NOT part of the CacheKey. Checked runs
+  // tests/test_fastpath.cpp, whole campaigns included), so this is pure
+  // execution policy and is NOT part of the CacheKey. Checked runs
   // (check_invariants) always take the slow path.
   bool fast_path = true;
   // Checkpoint/resume: when > 0, the contiguous completed-trial prefix is
   // flushed to a per-CacheKey journal under TFI_CACHE_DIR every this many
   // completed trials (and on interruption), and an existing journal for the
   // same CacheKey is loaded at startup so the campaign resumes exactly where
-  // it stopped. The TFI_CHECKPOINT_EVERY env var, when set, overrides this
-  // value (tests force tiny intervals through it). Journals only hold trial
-  // records, so runs collecting propagation traces never checkpoint/resume.
-  // Resumed records are byte-identical to an uninterrupted run's at any
-  // `jobs` value. 0 disables journaling.
+  // it stopped. Journals only hold trial records, so runs collecting
+  // propagation traces never checkpoint/resume. Resumed records are
+  // byte-identical to an uninterrupted run's at any `jobs` value. 0 disables
+  // journaling.
   int checkpoint_every = 0;
   // Debug mode: run every trial core with the per-cycle invariant checker
   // (CoreConfig::check_invariants) and quarantine any trial whose injected

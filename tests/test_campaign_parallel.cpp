@@ -4,10 +4,9 @@
 // every worker count.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <sstream>
 
+#include "campaign_fixture.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
 #include "uarch/core.h"
@@ -16,32 +15,12 @@
 namespace tfsim {
 namespace {
 
-GoldenSpec SmallSpec() {
-  GoldenSpec gs;
-  gs.warmup = 12000;
-  gs.points = 3;
-  gs.spacing = 500;
-  gs.window = 4000;
-  gs.slack = 1000;
-  return gs;
-}
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden = SmallSpec();
-  return spec;
-}
-
 // Runs the campaign live (no cache) with `jobs` workers, metrics attached
 // and propagation tracing on.
 CampaignResult RunLive(const CampaignSpec& spec, int jobs,
                    obs::MetricsRegistry* metrics) {
-  CampaignOptions opt;
+  CampaignOptions opt = QuietLive();
   opt.jobs = jobs;
-  opt.verbose = false;
-  opt.use_cache = false;
   opt.obs.sinks.metrics = metrics;
   opt.obs.collect_prop_traces = true;
   return RunCampaign(spec, opt);
@@ -60,18 +39,7 @@ TEST(CampaignParallel, JobsDoNotChangeResultsOrMetrics) {
   const CampaignResult r4 = RunLive(spec, 4, &m4);
 
   ASSERT_EQ(r1.trials.size(), 40u);
-  ASSERT_EQ(r1.trials.size(), r4.trials.size());
-  for (std::size_t i = 0; i < r1.trials.size(); ++i) {
-    EXPECT_EQ(r1.trials[i].outcome, r4.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].mode, r4.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cat, r4.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].storage, r4.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cycles, r4.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].valid_instrs, r4.trials[i].valid_instrs);
-    EXPECT_EQ(r1.trials[i].inflight, r4.trials[i].inflight);
-  }
-  EXPECT_EQ(r1.ByOutcome(), r4.ByOutcome());
-  EXPECT_EQ(r1.ByFailureMode(), r4.ByFailureMode());
+  EXPECT_EQ(r1.trials, r4.trials);
   EXPECT_EQ(r1.spec.CacheKey(), r4.spec.CacheKey());
 
   ASSERT_EQ(r1.prop_traces.size(), r4.prop_traces.size());
@@ -116,11 +84,7 @@ TEST(CampaignParallel, TrialSpecsDependOnlyOnCampaignSpec) {
 }
 
 TEST(CampaignParallel, CacheHitIsCountedAndReplaysCampaignCounters) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_test_cache_par").string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
-
+  ScopedCacheDir cache("tfi_test_cache_par");
   const CampaignSpec spec = SmallCampaign(15);
   CampaignOptions warm;
   warm.verbose = false;
@@ -143,9 +107,6 @@ TEST(CampaignParallel, CacheHitIsCountedAndReplaysCampaignCounters) {
                                   OutcomeName(static_cast<Outcome>(o)))
                       .value();
   EXPECT_EQ(by_outcome, 15u);
-
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
 }
 
 TEST(CampaignParallel, MergeAggregatesGoldenStatsAndChecksCompatibility) {

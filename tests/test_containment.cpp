@@ -5,11 +5,9 @@
 // byte-identical to an in-process run at any worker count).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -17,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/events.h"
@@ -24,24 +23,6 @@
 
 namespace tfsim {
 namespace {
-
-namespace fs = std::filesystem;
-
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-
- private:
-  std::string dir_;
-};
 
 // Watchdog deadlines and simulated hangs below are calibrated for optimized
 // builds. Sanitizer builds simulate trials 10-30x slower, so there both
@@ -53,38 +34,12 @@ std::chrono::milliseconds Ms(int ms) {
   return std::chrono::milliseconds(ms * kTimeScale);
 }
 
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  return spec;
-}
-
-CampaignOptions QuietLive() {
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
-  return opt;
-}
-
-void ExpectSameSurvivors(const CampaignResult& a, const CampaignResult& b,
-                         const std::vector<std::size_t>& skip = {}) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    if (std::find(skip.begin(), skip.end(), i) != skip.end()) continue;
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs) << i;
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight) << i;
-  }
+// `r`'s records without the quarantined trial `skip`.
+std::vector<TrialRecord> Survivors(const CampaignResult& r, std::size_t skip) {
+  std::vector<TrialRecord> out = r.trials;
+  if (skip < out.size())
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(skip));
+  return out;
 }
 
 TEST(Watchdog, HungHookIsQuarantinedAsTimeout) {
@@ -112,7 +67,7 @@ TEST(Watchdog, HungHookIsQuarantinedAsTimeout) {
     EXPECT_NE(r.quarantined[0].message.find("watchdog"), std::string::npos);
     EXPECT_EQ(metrics.GetCounter("campaign.trials.timeout").value(), 1u);
     // Surviving trials classified exactly as the clean run's.
-    ExpectSameSurvivors(r, reference, {2});
+    EXPECT_EQ(Survivors(r, 2), Survivors(reference, 2));
   }
 }
 
@@ -168,7 +123,7 @@ TEST(Isolate, CleanRunMatchesInProcessByteForByte) {
     EXPECT_FALSE(r.containment_exhausted);
     EXPECT_EQ(r.worker_restarts, 0u);
     EXPECT_TRUE(r.quarantined.empty());
-    ExpectSameSurvivors(r, reference);
+    EXPECT_EQ(r.trials, reference.trials);
   }
 }
 
@@ -209,7 +164,7 @@ TEST(Isolate, CrashingTrialIsContainedAndRecorded) {
       EXPECT_LE(r.worker_restarts, 1u);
     }
     // Every surviving record byte-identical to the in-process clean run.
-    ExpectSameSurvivors(r, reference, {4});
+    EXPECT_EQ(Survivors(r, 4), Survivors(reference, 4));
   }
 }
 
@@ -220,9 +175,13 @@ TEST(Isolate, ChildWatchdogConvertsHangsToTimeouts) {
   CampaignOptions opt = QuietLive();
   opt.jobs = 2;
   opt.isolate_trials = true;
-  opt.trial_timeout_ms = Ms(50).count();
+  // The slowest legitimate trial (a 4000-cycle Gray Area, ~16 ms on an idle
+  // host) stays 20x under the deadline, so a loaded host cannot push it over;
+  // the hang overshoots the deadline but stays under the parent's hard kill
+  // (2 x deadline + 250 ms), so the child's own watchdog fires.
+  opt.trial_timeout_ms = Ms(400).count();
   opt.trial_fault_hook = [](std::size_t i) {
-    if (i == 3) std::this_thread::sleep_for(Ms(120));
+    if (i == 3) std::this_thread::sleep_for(Ms(600));
   };
   const CampaignResult r = RunCampaign(spec, opt);
 
@@ -232,7 +191,7 @@ TEST(Isolate, ChildWatchdogConvertsHangsToTimeouts) {
   EXPECT_EQ(r.quarantined[0].reason, QuarantinedTrial::Reason::kTimeout);
   // The worker survived (the child's own watchdog fired, no kill needed).
   EXPECT_EQ(r.worker_restarts, 0u);
-  ExpectSameSurvivors(r, reference, {3});
+  EXPECT_EQ(Survivors(r, 3), Survivors(reference, 3));
 }
 
 TEST(Isolate, ExhaustedRestartBudgetQuarantinesTheRemainder) {

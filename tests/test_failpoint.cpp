@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/events.h"
@@ -28,55 +29,6 @@ struct FailpointGuard {
   FailpointGuard() { fail::Reset(); }
   ~FailpointGuard() { fail::Reset(); }
 };
-
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  return spec;
-}
-
-CampaignOptions QuietLive() {
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
-  return opt;
-}
-
-void ExpectSameRecords(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs);
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight);
-  }
-}
 
 TEST(Failpoint, DisarmedProbeNeverFires) {
   FailpointGuard guard;
@@ -239,16 +191,20 @@ TEST(Failpoint, CampaignSurvivesDurabilityChaosWithIdenticalRecords) {
   // Arm every durability seam with intermittent failure, then run with the
   // cache and checkpointing on: the campaign must complete with records
   // byte-identical to the clean run.
-  ASSERT_TRUE(fail::ConfigureFromSpec(
-      "fs.atomic_write=error@1in3;cache.load=error;ckpt.load=error;"
-      "cache.store=error@1in2;ckpt.store=error@1in2"));
-  CampaignOptions opt = QuietLive();
-  opt.use_cache = true;
-  opt.jobs = 4;
-  opt.checkpoint_every = 3;
-  const CampaignResult chaotic = RunCampaign(spec, opt);
-  EXPECT_FALSE(chaotic.interrupted);
-  ExpectSameRecords(chaotic, reference);
+  for (int jobs : {1, 4}) {
+    ASSERT_TRUE(fail::ConfigureFromSpec(
+        "fs.atomic_write=error@1in3;cache.load=error;ckpt.load=error;"
+        "cache.store=error@1in2;ckpt.store=error@1in2"));
+    CampaignOptions opt = QuietLive();
+    opt.use_cache = true;
+    opt.jobs = jobs;
+    opt.checkpoint_every = 3;
+    const CampaignResult chaotic = RunCampaign(spec, opt);
+    fail::Reset();
+    EXPECT_FALSE(chaotic.interrupted) << "jobs=" << jobs;
+    EXPECT_TRUE(chaotic.quarantined.empty()) << "jobs=" << jobs;
+    EXPECT_EQ(chaotic.trials, reference.trials) << "jobs=" << jobs;
+  }
 }
 
 TEST(Failpoint, CheckpointFlushFailureDisablesJournalingOnce) {
@@ -283,7 +239,7 @@ TEST(Failpoint, CheckpointFlushFailureDisablesJournalingOnce) {
   EXPECT_EQ(sink.disabled.load(), 1);
   EXPECT_EQ(sink.flushes.load(), 0);
   EXPECT_FALSE(r.interrupted);
-  ExpectSameRecords(r, reference);
+  EXPECT_EQ(r.trials, reference.trials);
   EXPECT_FALSE(fs::exists(CampaignCheckpointPath(spec)));
 }
 

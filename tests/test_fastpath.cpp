@@ -3,13 +3,13 @@
 // byte-identity with the slow path — the fast path is pure execution policy.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/report.h"
@@ -162,22 +162,13 @@ struct FastpathRig {
   std::vector<TrialSpec> specs;
 };
 
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 2500;
-  spec.golden.slack = 1000;
-  return spec;
-}
+// Shorter than the fixture's window: more trials end in a Gray Area.
+constexpr std::uint64_t kWindow = 2500;
 
 const FastpathRig& Rig() {
   static const FastpathRig rig = [] {
     FastpathRig r;
-    r.spec = SmallCampaign(160);
+    r.spec = SmallCampaign(160, "gzip", kWindow);
     const Program program =
         BuildWorkload(WorkloadByName(r.spec.workload), kCampaignIters);
     Core probe(r.spec.core, program);
@@ -190,17 +181,6 @@ const FastpathRig& Rig() {
     return r;
   }();
   return rig;
-}
-
-void ExpectSameRecord(const TrialRecord& f, const TrialRecord& s,
-                      std::size_t i) {
-  EXPECT_EQ(f.outcome, s.outcome) << "trial " << i;
-  EXPECT_EQ(f.mode, s.mode) << "trial " << i;
-  EXPECT_EQ(f.cat, s.cat) << "trial " << i;
-  EXPECT_EQ(f.storage, s.storage) << "trial " << i;
-  EXPECT_EQ(f.cycles, s.cycles) << "trial " << i;
-  EXPECT_EQ(f.valid_instrs, s.valid_instrs) << "trial " << i;
-  EXPECT_EQ(f.inflight, s.inflight) << "trial " << i;
 }
 
 std::string TraceRow(const obs::PropagationTrace& tr, const std::string& wl,
@@ -224,7 +204,7 @@ TEST(TrialFastPath, RecordsAndTracesByteIdenticalToSlowPath) {
     const TrialRunner::Result f = fast.Run(rig.specs[i], /*want_trace=*/true);
     const TrialRunner::Result s = slow.Run(rig.specs[i], /*want_trace=*/true);
     EXPECT_FALSE(s.fast);
-    ExpectSameRecord(f.record, s.record, i);
+    EXPECT_EQ(f.record, s.record) << "trial " << i;
     EXPECT_EQ(TraceRow(f.trace, rig.spec.workload, i),
               TraceRow(s.trace, rig.spec.workload, i))
         << "trial " << i;
@@ -283,7 +263,7 @@ TEST(TrialFastPath, ConvergenceCutoffFiresAtExactConvergenceCycle) {
 // flips revisiting a bit) — the shortcut must wait for the *last* divergent
 // word and still agree with the slow path byte-for-byte.
 TEST(TrialFastPath, MultiFlipBurstsByteIdentical) {
-  CampaignSpec spec = SmallCampaign(48);
+  CampaignSpec spec = SmallCampaign(48, "gzip", kWindow);
   spec.flips = 3;
   spec.adjacent = true;
   const Program program =
@@ -299,7 +279,8 @@ TEST(TrialFastPath, MultiFlipBurstsByteIdentical) {
   slow_policy.fast_path = false;
   TrialRunner slow(golden, slow_policy);
   for (std::size_t i = 0; i < specs.size(); ++i)
-    ExpectSameRecord(fast.Run(specs[i]).record, slow.Run(specs[i]).record, i);
+    EXPECT_EQ(fast.Run(specs[i]).record, slow.Run(specs[i]).record)
+        << "trial " << i;
 }
 
 // Non-default geometry: the fast path plans over the registry's live word
@@ -307,7 +288,7 @@ TEST(TrialFastPath, MultiFlipBurstsByteIdentical) {
 // different word count). Fast and slow paths must stay byte-identical on a
 // shape nothing in the defaults exercises.
 TEST(TrialFastPath, NonDefaultGeometryByteIdentical) {
-  CampaignSpec spec = SmallCampaign(48);
+  CampaignSpec spec = SmallCampaign(48, "gzip", kWindow);
   spec.core.rob_entries = 16;
   spec.core.lq_entries = 8;
   spec.core.sq_entries = 8;
@@ -327,7 +308,7 @@ TEST(TrialFastPath, NonDefaultGeometryByteIdentical) {
   int shortcut = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const TrialRunner::Result f = fast.Run(specs[i]);
-    ExpectSameRecord(f.record, slow.Run(specs[i]).record, i);
+    EXPECT_EQ(f.record, slow.Run(specs[i]).record) << "trial " << i;
     if (f.fast) ++shortcut;
   }
   EXPECT_GT(shortcut, 0) << "the reshaped core never took the fast path";
@@ -336,7 +317,7 @@ TEST(TrialFastPath, NonDefaultGeometryByteIdentical) {
 // Golden runs recorded without a fast-path plan (fuzz harness, ad-hoc
 // tools) must silently take the slow path even when the policy allows fast.
 TEST(TrialFastPath, NoPlanMeansSlowPath) {
-  const CampaignSpec spec = SmallCampaign(8);
+  const CampaignSpec spec = SmallCampaign(8, "gzip", kWindow);
   const Program program =
       BuildWorkload(WorkloadByName(spec.workload), kCampaignIters);
   const auto golden = RecordGolden(spec.core, program, spec.golden);
@@ -350,52 +331,69 @@ TEST(TrialFastPath, NoPlanMeansSlowPath) {
 
 // A changed observation window must never alias cached results.
 TEST(TrialFastPath, WindowIsPartOfTheCacheKey) {
-  CampaignSpec a = SmallCampaign(40);
+  CampaignSpec a = SmallCampaign(40, "gzip", kWindow);
   CampaignSpec b = a;
   b.golden.window += 1;
   EXPECT_NE(a.CacheKey(), b.CacheKey());
 }
 
-// Whole-campaign A/B at jobs 1 and 4: outcome distributions, metrics JSON
+// Whole-campaign A/B at jobs 1 and 4 over the default shape, adjacent
+// 3-bit bursts (no early cutoff: cancelled flips, several watched words per
+// trial) and a reshaped core (a different registry word space for the plan
+// and the snapshots): records, outcome and failure-mode mix, metrics JSON
 // (timer-less export is byte-deterministic), propagation traces and heatmap
-// exports — the knobs fastpath_ab_smoke checks plus the metrics registry.
+// exports must all be byte-identical to the slow path at jobs 1.
 TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
-  const CampaignSpec spec = SmallCampaign(40);
+  CampaignSpec burst = SmallCampaign(48);
+  burst.flips = 3;
+  burst.adjacent = true;
+  CampaignSpec shaped = SmallCampaign(48);
+  shaped.core.rob_entries = 16;
+  shaped.core.lq_entries = 8;
+  shaped.core.sq_entries = 8;
+  shaped.core.phys_regs = 48;
   struct Out {
     CampaignResult result;
-    std::string metrics;
+    std::string metrics, traces, heatmap;
   };
-  const auto run = [&](bool fast_path, int jobs) {
-    obs::MetricsRegistry metrics;
-    CampaignOptions opt;
-    opt.jobs = jobs;
-    opt.verbose = false;
-    opt.use_cache = false;
-    opt.fast_path = fast_path;
-    opt.obs.collect_prop_traces = true;
-    opt.obs.sinks.metrics = &metrics;
-    Out out{RunCampaign(spec, opt), {}};
-    std::ostringstream os;
-    metrics.WriteJson(os, /*include_timers=*/false);
-    out.metrics = os.str();
-    return out;
-  };
-  const Out slow1 = run(/*fast_path=*/false, /*jobs=*/1);
-  for (const Out& f : {run(true, 1), run(true, 4)}) {
-    ASSERT_EQ(f.result.trials.size(), slow1.result.trials.size());
-    for (std::size_t i = 0; i < f.result.trials.size(); ++i)
-      ExpectSameRecord(f.result.trials[i], slow1.result.trials[i], i);
-    EXPECT_EQ(f.result.ByOutcome(), slow1.result.ByOutcome());
-    EXPECT_EQ(f.result.ByFailureMode(), slow1.result.ByFailureMode());
-    EXPECT_EQ(f.metrics, slow1.metrics);
-    ASSERT_EQ(f.result.prop_traces.size(), slow1.result.prop_traces.size());
-    for (std::size_t i = 0; i < f.result.prop_traces.size(); ++i)
-      EXPECT_EQ(TraceRow(f.result.prop_traces[i], spec.workload, i),
-                TraceRow(slow1.result.prop_traces[i], spec.workload, i));
-    std::ostringstream fh, sh;
-    BuildHeatmap(f.result).WriteJson(fh, spec.workload);
-    BuildHeatmap(slow1.result).WriteJson(sh, spec.workload);
-    EXPECT_EQ(fh.str(), sh.str());
+  for (const CampaignSpec& spec :
+       {SmallCampaign(40, "gzip", kWindow), burst, shaped}) {
+    const auto run = [&](bool fast_path, int jobs) {
+      obs::MetricsRegistry metrics;
+      CampaignOptions opt = QuietLive();
+      opt.jobs = jobs;
+      opt.fast_path = fast_path;
+      opt.obs.collect_prop_traces = true;
+      opt.obs.sinks.metrics = &metrics;
+      Out out{RunCampaign(spec, opt), {}, {}, {}};
+      std::ostringstream m, t, h;
+      metrics.WriteJson(m, /*include_timers=*/false);
+      for (std::size_t i = 0; i < out.result.prop_traces.size(); ++i)
+        obs::WritePropTraceRow(out.result.prop_traces[i], spec.workload, i, t);
+      // A fixed stamp: the default is the wall clock, which can tick over a
+      // second between two runs.
+      BuildHeatmap(out.result).WriteJson(h, spec.workload,
+                                         "2026-01-01T00:00:00Z");
+      out.metrics = m.str();
+      out.traces = t.str();
+      out.heatmap = h.str();
+      return out;
+    };
+    const Out slow1 = run(/*fast_path=*/false, /*jobs=*/1);
+    ASSERT_EQ(slow1.result.trials.size(),
+              static_cast<std::size_t>(spec.trials));
+    for (int jobs : {1, 4}) {
+      const Out f = run(/*fast_path=*/true, jobs);
+      SCOPED_TRACE("flips=" + std::to_string(spec.flips) +
+                   " rob=" + std::to_string(spec.core.rob_entries) +
+                   " jobs=" + std::to_string(jobs));
+      EXPECT_EQ(f.result.trials, slow1.result.trials);
+      EXPECT_EQ(f.result.ByOutcome(), slow1.result.ByOutcome());
+      EXPECT_EQ(f.result.ByFailureMode(), slow1.result.ByFailureMode());
+      EXPECT_EQ(f.metrics, slow1.metrics);
+      EXPECT_EQ(f.traces, slow1.traces);
+      EXPECT_EQ(f.heatmap, slow1.heatmap);
+    }
   }
 }
 
@@ -403,25 +401,14 @@ TEST(TrialFastPath, CampaignDistributionsMetricsAndHeatmapsIdentical) {
 // path disabled: the journaled fast-path prefix and the slow-path suffix
 // must splice into a result byte-identical to an uninterrupted slow run.
 TEST(TrialFastPath, ResumeCrossesFastSlowBoundary) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_fastpath_resume_test")
-          .string();
-  std::filesystem::remove_all(dir);
-  const char* old_dir = std::getenv("TFI_CACHE_DIR");
-  const std::string saved = old_dir ? old_dir : "";
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-
-  const CampaignSpec spec = SmallCampaign(30);
-  CampaignOptions base;
-  base.verbose = false;
-  base.use_cache = false;
-
-  CampaignOptions slow_opt = base;
+  ScopedCacheDir cache("tfi_fastpath_resume_test");
+  const CampaignSpec spec = SmallCampaign(30, "gzip", kWindow);
+  CampaignOptions slow_opt = QuietLive();
   slow_opt.fast_path = false;
   const CampaignResult reference = RunCampaign(spec, slow_opt);
 
   CancellationToken cancel;
-  CampaignOptions interrupted = base;  // fast path on (default)
+  CampaignOptions interrupted = QuietLive();  // fast path on (default)
   interrupted.jobs = 2;
   interrupted.checkpoint_every = 5;
   interrupted.cancel = &cancel;
@@ -432,21 +419,19 @@ TEST(TrialFastPath, ResumeCrossesFastSlowBoundary) {
   ASSERT_TRUE(partial.interrupted);
   ASSERT_FALSE(partial.trials.empty());
   ASSERT_LT(partial.trials.size(), reference.trials.size());
+  // The interruption flushed exactly the completed prefix.
+  const auto journal = LoadCampaignCheckpoint(spec);
+  ASSERT_TRUE(journal.has_value());
+  EXPECT_EQ(journal->size(), partial.trials.size());
 
-  CampaignOptions resume = base;
+  CampaignOptions resume = QuietLive();
   resume.fast_path = false;  // the suffix runs on the slow path
   resume.checkpoint_every = 5;
   const CampaignResult resumed = RunCampaign(spec, resume);
   EXPECT_FALSE(resumed.interrupted);
-  ASSERT_EQ(resumed.trials.size(), reference.trials.size());
-  for (std::size_t i = 0; i < reference.trials.size(); ++i)
-    ExpectSameRecord(resumed.trials[i], reference.trials[i], i);
-
-  if (old_dir)
-    ::setenv("TFI_CACHE_DIR", saved.c_str(), 1);
-  else
-    ::unsetenv("TFI_CACHE_DIR");
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(resumed.trials, reference.trials);
+  // The completed result subsumes the journal.
+  EXPECT_FALSE(std::filesystem::exists(CampaignCheckpointPath(spec)));
 }
 
 }  // namespace

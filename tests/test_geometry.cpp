@@ -12,25 +12,26 @@
 //   * campaign results at a non-default shape are deterministic across
 //     worker counts, and the results cache keys on the geometry (two specs
 //     differing only in rob_entries land distinct entries — the collision
-//     the CacheKey salt bump fixed).
+//     the CacheKey salt bump fixed), and a geometry sweep exports the same
+//     bytes at any worker count, live or from the cache.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/functional_sim.h"
+#include "campaign_fixture.h"
 #include "check/invariants.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
+#include "inject/sweep.h"
 #include "uarch/core.h"
 #include "workloads/workloads.h"
 
 namespace tfsim {
 namespace {
-
-namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // CoreConfig::Validate
@@ -212,45 +213,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Campaign determinism and cache keying at non-default shapes
 
-// Scoped TFI_CACHE_DIR override pointing at a fresh temp directory (same
-// idiom as test_resilience.cpp).
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
-
 CampaignSpec SmallShapedCampaign(int rob_entries) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = 16;
+  CampaignSpec spec = SmallCampaign(16);
   spec.core.rob_entries = rob_entries;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
   return spec;
-}
-
-bool SameRecords(const std::vector<TrialRecord>& a,
-                 const std::vector<TrialRecord>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].outcome != b[i].outcome || a[i].cycles != b[i].cycles)
-      return false;
-  return true;
 }
 
 TEST(GeometryCampaign, CacheKeyDistinguishesGeometry) {
@@ -279,9 +245,9 @@ TEST(GeometryCampaign, DistinctGeometriesCacheDistinctResults) {
   const auto c_big = LoadCachedCampaign(big);
   ASSERT_TRUE(c_small.has_value());
   ASSERT_TRUE(c_big.has_value());
-  EXPECT_TRUE(SameRecords(c_small->trials, r_small.trials));
-  EXPECT_TRUE(SameRecords(c_big->trials, r_big.trials));
-  EXPECT_FALSE(SameRecords(c_small->trials, c_big->trials))
+  EXPECT_EQ(c_small->trials, r_small.trials);
+  EXPECT_EQ(c_big->trials, r_big.trials);
+  EXPECT_NE(c_small->trials, c_big->trials)
       << "a 16-entry and a 64-entry ROB produced identical trial streams — "
          "the cache is almost certainly aliasing";
 }
@@ -290,14 +256,61 @@ TEST(GeometryCampaign, NonDefaultShapeDeterministicAcrossJobs) {
   CampaignSpec spec = SmallShapedCampaign(16);
   spec.core.lq_entries = 8;
   spec.core.sq_entries = 8;
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
+  CampaignOptions opt = QuietLive();
   const CampaignResult serial = RunCampaign(spec, opt);
   opt.jobs = 3;
   const CampaignResult threaded = RunCampaign(spec, opt);
-  EXPECT_TRUE(SameRecords(serial.trials, threaded.trials))
+  EXPECT_EQ(serial.trials, threaded.trials)
       << "trial records at a non-default geometry differ across --jobs";
+}
+
+// The sweep contract: a cold sweep runs every point live into its own cache
+// entry, a jobs-4 sweep exports byte-identical JSON and CSV, and a rerun is
+// served from the per-point cache with its JSON unchanged (occupancy is
+// re-recorded from the deterministic golden run).
+TEST(GeometryCampaign, SweepIsJobsInvariantAndReplaysFromCache) {
+  SweepSpec spec;
+  spec.suite = "smoke";
+  spec.trials = 24;
+  spec.golden = SmallCampaign(spec.trials).golden;
+  ASSERT_EQ(ExpandSweep(spec).size(), 3u);
+  const auto json = [](const SweepResult& r) {
+    std::ostringstream os;
+    WriteSweepJson(r, os);
+    return os.str();
+  };
+  const auto csv = [](const SweepResult& r) {
+    std::ostringstream os;
+    WriteSweepCsv(r, os);
+    return os.str();
+  };
+  CampaignOptions opt;
+  opt.verbose = false;
+
+  ScopedCacheDir cold("tfi_test_sweep_1");
+  const SweepResult r1 = RunSweep(spec, "", opt);
+  ASSERT_EQ(r1.points.size(), 3u);
+  for (const SweepPointResult& p : r1.points)
+    EXPECT_FALSE(p.from_cache) << p.point.label;
+  std::size_t entries = 0;
+  for (const auto& e : std::filesystem::directory_iterator(cold.dir()))
+    entries += e.path().extension() == ".txt";
+  EXPECT_EQ(entries, 3u) << "geometry points must land distinct cache entries";
+
+  {
+    ScopedCacheDir second("tfi_test_sweep_4");
+    CampaignOptions opt4 = opt;
+    opt4.jobs = 4;
+    const SweepResult r4 = RunSweep(spec, "", opt4);
+    EXPECT_EQ(json(r4), json(r1));
+    EXPECT_EQ(csv(r4), csv(r1));
+  }
+
+  const SweepResult r2 = RunSweep(spec, "", opt);
+  ASSERT_EQ(r2.points.size(), 3u);
+  for (const SweepPointResult& p : r2.points)
+    EXPECT_TRUE(p.from_cache) << p.point.label;
+  EXPECT_EQ(json(r2), json(r1));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "arch/functional_sim.h"
+#include "campaign_fixture.h"
 #include "inject/campaign.h"
 #include "isa/isa.h"
 #include "soft/harden.h"
@@ -264,33 +265,14 @@ TEST(Harden, HardenedWorkloadsGetDistinctCacheKeys) {
 }
 
 TEST(Harden, HardenedCampaignIsJobsInvariant) {
-  GoldenSpec gs;
-  gs.warmup = 12000;
-  gs.points = 3;
-  gs.spacing = 500;
-  gs.window = 4000;
-  gs.slack = 1000;
-  CampaignSpec spec;
-  spec.workload = "gzip+sw";
-  spec.trials = 16;
-  spec.golden = gs;
-
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
+  const CampaignSpec spec = SmallCampaign(16, "gzip+sw");
+  CampaignOptions opt = QuietLive();
   opt.jobs = 1;
   const CampaignResult r1 = RunCampaign(spec, opt);
   opt.jobs = 4;
   const CampaignResult r4 = RunCampaign(spec, opt);
   ASSERT_EQ(r1.trials.size(), 16u);
-  ASSERT_EQ(r1.trials.size(), r4.trials.size());
-  for (std::size_t i = 0; i < r1.trials.size(); ++i) {
-    EXPECT_EQ(r1.trials[i].outcome, r4.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].mode, r4.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cat, r4.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(r1.trials[i].cycles, r4.trials[i].cycles) << "trial " << i;
-  }
-  EXPECT_EQ(r1.ByOutcome(), r4.ByOutcome());
+  EXPECT_EQ(r1.trials, r4.trials);
 }
 
 }  // namespace

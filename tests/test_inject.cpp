@@ -2,9 +2,7 @@
 // trial classification on targeted injections, cache round trips.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "inject/golden.h"
@@ -15,16 +13,6 @@
 namespace tfsim {
 namespace {
 
-GoldenSpec SmallSpec() {
-  GoldenSpec gs;
-  gs.warmup = 12000;
-  gs.points = 3;
-  gs.spacing = 500;
-  gs.window = 4000;
-  gs.slack = 1000;
-  return gs;
-}
-
 struct SharedGolden {
   Program prog;
   std::shared_ptr<const GoldenRun> golden;
@@ -34,7 +22,7 @@ const SharedGolden& Shared() {
   static const SharedGolden s = [] {
     SharedGolden sg;
     sg.prog = BuildWorkload(WorkloadByName("gzip"), kCampaignIters);
-    sg.golden = RecordGolden(CoreConfig{}, sg.prog, SmallSpec());
+    sg.golden = RecordGolden(CoreConfig{}, sg.prog, SmallCampaign(0).golden);
     return sg;
   }();
   return s;
@@ -74,7 +62,7 @@ TEST(Golden, CheckpointReplayMatchesTimeline) {
 
 TEST(Golden, FailsOnExitingProgram) {
   const Program tiny = BuildWorkload(WorkloadByName("gzip"), 1);
-  GoldenSpec gs = SmallSpec();
+  GoldenSpec gs = SmallCampaign(0).golden;
   gs.warmup = 0;
   gs.window = 300000;  // long enough that the program exits inside
   EXPECT_THROW(RecordGolden(CoreConfig{}, tiny, gs), std::runtime_error);
@@ -144,43 +132,19 @@ TEST(Trial, RecordsUtilizationAtInjection) {
 }
 
 TEST(Campaign, CacheRoundTrips) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_test_cache").string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
-
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = 25;
-  spec.golden = SmallSpec();
+  ScopedCacheDir cache("tfi_test_cache");
+  const CampaignSpec spec = SmallCampaign(25);
   CampaignOptions quiet;
   quiet.verbose = false;
   const CampaignResult fresh = RunCampaign(spec, quiet);
   const CampaignResult cached = RunCampaign(spec, quiet);
-  ASSERT_EQ(fresh.trials.size(), cached.trials.size());
-  for (std::size_t i = 0; i < fresh.trials.size(); ++i) {
-    EXPECT_EQ(fresh.trials[i].outcome, cached.trials[i].outcome);
-    EXPECT_EQ(fresh.trials[i].mode, cached.trials[i].mode);
-    EXPECT_EQ(fresh.trials[i].cat, cached.trials[i].cat);
-    EXPECT_EQ(fresh.trials[i].cycles, cached.trials[i].cycles);
-  }
-  EXPECT_EQ(fresh.ByOutcome(), cached.ByOutcome());
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
+  EXPECT_EQ(fresh.trials, cached.trials);
 }
 
 TEST(Campaign, DeterministicForFixedSeed) {
-  ::setenv("TFI_CACHE_DIR", "/nonexistent-cache-dir-ignore", 1);
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = 15;
-  spec.golden = SmallSpec();
-  CampaignOptions quiet;
-  quiet.verbose = false;
-  const auto a = RunCampaign(spec, quiet).ByOutcome();
-  const auto b = RunCampaign(spec, quiet).ByOutcome();
-  EXPECT_EQ(a, b);
-  ::unsetenv("TFI_CACHE_DIR");
+  const CampaignSpec spec = SmallCampaign(15);
+  EXPECT_EQ(RunCampaign(spec, QuietLive()).ByOutcome(),
+            RunCampaign(spec, QuietLive()).ByOutcome());
 }
 
 TEST(Campaign, MergeAggregates) {

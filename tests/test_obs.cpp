@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "campaign_fixture.h"
 #include "inject/campaign.h"
 #include "inject/report.h"
 #include "inject/trial.h"
@@ -315,6 +316,56 @@ TEST_F(PropTraceTest, JsonlRowsAreValidJson) {
       << err << "\n" << line;
   EXPECT_NE(line.find("\"first_spread_category\":\"ctrl\""),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Campaign exports end to end
+// ---------------------------------------------------------------------------
+
+// A campaign with metrics, chrome trace and propagation traces attached:
+// every export lints as JSON and carries the keys its readers look up.
+TEST(ObsExports, CampaignExportsLintAndCarryTheirKeys) {
+  obs::MetricsRegistry metrics;
+  obs::ChromeTraceWriter chrome;
+  CampaignOptions opt = QuietLive();
+  opt.obs.sinks.metrics = &metrics;
+  opt.obs.sinks.chrome = &chrome;
+  opt.obs.collect_prop_traces = true;
+  const CampaignResult r = RunCampaign(SmallCampaign(20), opt);
+  ASSERT_EQ(r.trials.size(), 20u);
+  ASSERT_EQ(r.prop_traces.size(), 20u);
+  std::string err;
+
+  std::ostringstream m;
+  metrics.WriteJson(m);
+  EXPECT_TRUE(JsonLint(m.str(), &err)) << err;
+  EXPECT_NE(m.str().find("\"pipe.rob.occupancy\""), std::string::npos);
+  EXPECT_NE(m.str().find("\"campaign.trials\""), std::string::npos);
+
+  // One versioned header line, then one row per trial.
+  std::ostringstream jsonl;
+  ASSERT_TRUE(WritePropTraceJsonl(r, jsonl));
+  std::istringstream lines(jsonl.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_TRUE(JsonLint(line, &err)) << err;
+  for (const char* key :
+       {"\"type\":\"header\"", "\"schema_version\"", "\"generated_at\""})
+    EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
+  int rows = 0;
+  for (; std::getline(lines, line); ++rows) {
+    EXPECT_TRUE(JsonLint(line, &err)) << err << "\n" << line;
+    for (const char* key : {"\"trial\"", "\"outcome\"", "\"category\"",
+                            "\"arch_divergence_cycle\""})
+      EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
+  }
+  EXPECT_EQ(rows, 20);
+
+  std::ostringstream trace;
+  chrome.WriteTo(trace);
+  EXPECT_TRUE(JsonLint(trace.str(), &err)) << err;
+  EXPECT_NE(trace.str().find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(trace.str().find("\"ph\":\"X\""), std::string::npos);
 }
 
 }  // namespace

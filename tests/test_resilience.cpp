@@ -6,9 +6,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
@@ -20,59 +20,6 @@ namespace tfsim {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Scoped TFI_CACHE_DIR override pointing at a fresh temp directory.
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-};
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  return spec;
-}
-
-CampaignOptions QuietLive() {
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
-  return opt;
-}
-
-// Expects `a` to hold exactly `n` records matching the first `n` of `b`.
-void ExpectSameRecords(const CampaignResult& a, const CampaignResult& b,
-                       std::size_t n) {
-  ASSERT_EQ(a.trials.size(), n);
-  ASSERT_GE(b.trials.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs);
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight);
-  }
-}
 
 // A synthetic result exercising every serialized field, including doubles
 // that do not round-trip at default stream precision.
@@ -102,18 +49,6 @@ CampaignResult AwkwardResult(const CampaignSpec& spec) {
 
 std::string CachePath(const CampaignSpec& spec) {
   return (fs::path(CacheDir()) / (spec.CacheKey() + ".txt")).string();
-}
-
-std::string SlurpFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void WriteRaw(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
 }
 
 TEST(Checksum, Crc32KnownVectorAndIncremental) {
@@ -164,7 +99,7 @@ TEST(CacheV2, RoundTripsEveryFieldBitExactly) {
     EXPECT_EQ(loaded->inventory[c].latch_bits, stored.inventory[c].latch_bits);
     EXPECT_EQ(loaded->inventory[c].ram_bits, stored.inventory[c].ram_bits);
   }
-  ExpectSameRecords(*loaded, stored, stored.trials.size());
+  EXPECT_EQ(loaded->trials, stored.trials);
   // The quarantine index is rebuilt from the kTrialError records.
   std::size_t errors = 0;
   for (const auto& t : stored.trials)
@@ -202,6 +137,22 @@ TEST(CacheV2, RejectsTamperedTruncatedAndPaddedFiles) {
   WriteRaw(path, "");
   EXPECT_FALSE(LoadCachedCampaign(spec).has_value());
 
+  // Intact envelopes around inconsistent payloads: fewer records than the
+  // spec's trials, 2^62 records (too many to allocate), trailing bytes.
+  CampaignResult two = AwkwardResult(spec);
+  two.trials.resize(2);
+  ASSERT_TRUE(StoreCachedCampaign(two));
+  EXPECT_FALSE(LoadCachedCampaign(spec).has_value());
+  const std::string payload =
+      good.substr(good.find('\n', good.find('\n') + 1) + 1);
+  const std::string after_count = payload.substr(payload.find('\n'));
+  for (const std::string& bad : {"4611686018427387904" + after_count,
+                                 payload + "0 0 0 0 1 2 3\n"}) {
+    ASSERT_TRUE(StoreEnvelope(path, "tfi-cache v2", bad, "cache.store",
+                              "campaign.cache.store_failures"));
+    EXPECT_FALSE(LoadCachedCampaign(spec).has_value());
+  }
+
   // Restoring the original bytes restores the hit.
   WriteRaw(path, good);
   EXPECT_TRUE(LoadCachedCampaign(spec).has_value());
@@ -237,12 +188,12 @@ TEST(CacheV2, ReadsLegacyV1Files) {
   CampaignOptions cached = QuietLive();
   cached.use_cache = true;
   const CampaignResult rerun = RunCampaign(spec, cached);
-  ExpectSameRecords(rerun, live, live.trials.size());
+  EXPECT_EQ(rerun.trials, live.trials);
 
   EXPECT_EQ(SlurpFile(CachePath(spec)).rfind("tfi-cache v2\n", 0), 0u);
   const auto loaded = LoadCachedCampaign(spec);
   ASSERT_TRUE(loaded.has_value());
-  ExpectSameRecords(*loaded, live, live.trials.size());
+  EXPECT_EQ(loaded->trials, live.trials);
 }
 
 TEST(CacheV2, StoreFailureIsCountedNotSilent) {
@@ -286,11 +237,9 @@ TEST(Quarantine, ThrowingTrialDoesNotAbortTheCampaign) {
   EXPECT_EQ(metrics.GetCounter("campaign.trials.quarantined").value(), 1u);
   EXPECT_EQ(r.ByOutcome()[static_cast<int>(Outcome::kTrialError)], 1u);
   // Every other trial classified exactly as the clean run's.
-  for (std::size_t i = 0; i < r.trials.size(); ++i) {
-    if (i == 3) continue;
-    EXPECT_EQ(r.trials[i].outcome, reference.trials[i].outcome) << i;
-    EXPECT_EQ(r.trials[i].cycles, reference.trials[i].cycles) << i;
-  }
+  std::vector<TrialRecord> survivors = r.trials;
+  survivors[3] = reference.trials[3];
+  EXPECT_EQ(survivors, reference.trials);
 }
 
 TEST(Quarantine, TransientFailureIsAbsorbedByRetry) {
@@ -307,7 +256,7 @@ TEST(Quarantine, TransientFailureIsAbsorbedByRetry) {
   const CampaignResult r = RunCampaign(spec, opt);
   EXPECT_EQ(faults.load(), 2);  // first attempt + successful retry
   EXPECT_TRUE(r.quarantined.empty());
-  ExpectSameRecords(r, reference, reference.trials.size());
+  EXPECT_EQ(r.trials, reference.trials);
 }
 
 TEST(CheckpointResume, SeededJournalYieldsByteIdenticalRecords) {
@@ -330,7 +279,7 @@ TEST(CheckpointResume, SeededJournalYieldsByteIdenticalRecords) {
   const CampaignResult resumed = RunCampaign(spec, opt);
 
   EXPECT_FALSE(resumed.interrupted);
-  ExpectSameRecords(resumed, reference, reference.trials.size());
+  EXPECT_EQ(resumed.trials, reference.trials);
   EXPECT_EQ(resumed.spec.CacheKey(), reference.spec.CacheKey());
   EXPECT_EQ(metrics.GetCounter("campaign.checkpoint.resumed_trials").value(),
             7u);
@@ -358,7 +307,9 @@ TEST(CheckpointResume, CancelledRunFlushesJournalAndResumesIdentically) {
   };
   const CampaignResult partial = RunCampaign(spec, opt);
   EXPECT_TRUE(partial.interrupted);
-  ExpectSameRecords(partial, reference, 5);
+  EXPECT_EQ(partial.trials, std::vector<TrialRecord>(
+                                reference.trials.begin(),
+                                reference.trials.begin() + 5));
 
   const auto journal = LoadCampaignCheckpoint(spec);
   ASSERT_TRUE(journal.has_value());
@@ -378,7 +329,7 @@ TEST(CheckpointResume, CancelledRunFlushesJournalAndResumesIdentically) {
   ropt.checkpoint_every = 3;
   const CampaignResult resumed = RunCampaign(spec, ropt);
   EXPECT_FALSE(resumed.interrupted);
-  ExpectSameRecords(resumed, reference, reference.trials.size());
+  EXPECT_EQ(resumed.trials, reference.trials);
   EXPECT_FALSE(fs::exists(jpath));
 }
 
@@ -411,7 +362,7 @@ TEST(TornState, TruncatedCheckpointJournalIsDetectedAndRecovered) {
   opt.checkpoint_every = 3;
   const CampaignResult recovered = RunCampaign(spec, opt);
   EXPECT_FALSE(recovered.interrupted);
-  ExpectSameRecords(recovered, reference, reference.trials.size());
+  EXPECT_EQ(recovered.trials, reference.trials);
   // The completed run consumed (replaced, then removed) the torn journal.
   EXPECT_FALSE(fs::exists(jpath));
 }
@@ -432,7 +383,7 @@ TEST(TornState, HalfWrittenCacheTempFilesAreIgnored) {
 
   const auto loaded = LoadCachedCampaign(spec);
   ASSERT_TRUE(loaded.has_value());
-  ExpectSameRecords(*loaded, stored, stored.trials.size());
+  EXPECT_EQ(loaded->trials, stored.trials);
 
   // Overwriting through the same path still lands atomically.
   ASSERT_TRUE(StoreCachedCampaign(stored));

@@ -1,9 +1,7 @@
 // Section 5 software-level injection tests.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -11,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "soft/soft_inject.h"
 #include "workloads/workloads.h"
@@ -109,10 +108,7 @@ TEST(Soft, ReferenceCacheNeverServesAnotherProgram) {
 }
 
 TEST(Soft, CampaignAggregatesAndCaches) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_soft_cache").string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
+  ScopedCacheDir cache("tfi_soft_cache");
   SoftCampaignSpec spec;
   spec.workload = "gzip";
   spec.iters = 3;
@@ -125,28 +121,12 @@ TEST(Soft, CampaignAggregatesAndCaches) {
   EXPECT_EQ(sum, 20u);
   const auto cached = RunSoftCampaign(spec, false);
   EXPECT_EQ(cached.by_outcome, fresh.by_outcome);
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
-}
-
-std::string Slurp(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void Spit(const std::filesystem::path& path, const std::string& data) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
 }
 
 // A cache file that is torn, edited or inconsistent must be a miss: the
 // campaign re-runs, returns the true counts, and rewrites the file intact.
 TEST(Soft, TruncatedAndTamperedCacheFilesAreMisses) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "tfi_soft_cache_tamper";
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
+  ScopedCacheDir cache("tfi_soft_cache_tamper");
   SoftCampaignSpec spec;
   spec.workload = "gzip";
   spec.iters = 3;
@@ -154,17 +134,17 @@ TEST(Soft, TruncatedAndTamperedCacheFilesAreMisses) {
   spec.model = SoftFaultModel::kRegBit64;
   const auto fresh = RunSoftCampaign(spec, false);
   std::vector<std::filesystem::path> files;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
+  for (const auto& e : std::filesystem::directory_iterator(cache.dir()))
     files.push_back(e.path());
   ASSERT_EQ(files.size(), 1u);
   const std::filesystem::path file = files[0];
   EXPECT_EQ(file.filename().string().rfind("soft_gzip_reg-bit-64_", 0), 0u);
-  const std::string intact = Slurp(file);
+  const std::string intact = SlurpFile(file);
 
   // Truncated: the length check fails.
-  Spit(file, intact.substr(0, intact.size() - 3));
+  WriteRaw(file, intact.substr(0, intact.size() - 3));
   EXPECT_EQ(RunSoftCampaign(spec, false).by_outcome, fresh.by_outcome);
-  EXPECT_EQ(Slurp(file), intact);
+  EXPECT_EQ(SlurpFile(file), intact);
 
   // Tampered at the same length: swap the Output OK and Output Bad counts,
   // which leaves a payload that parses and sums to the trial count, so
@@ -182,18 +162,15 @@ TEST(Soft, TruncatedAndTamperedCacheFilesAreMisses) {
                    v[0] + " " + v[1] + " " + v[2] + " " + v[3] + " ");
   ASSERT_EQ(tampered.size(), intact.size());
   ASSERT_NE(tampered, intact);
-  Spit(file, tampered);
+  WriteRaw(file, tampered);
   EXPECT_EQ(RunSoftCampaign(spec, false).by_outcome, fresh.by_outcome);
-  EXPECT_EQ(Slurp(file), intact);
+  EXPECT_EQ(SlurpFile(file), intact);
 
   // Intact envelope, inconsistent payload: counts that miss the trial count.
   ASSERT_TRUE(StoreEnvelope(file, "tfi-soft v2", "20\n1 1 1 1 \n0\n",
                             "cache.store", "soft.cache.store_failures"));
   EXPECT_EQ(RunSoftCampaign(spec, false).by_outcome, fresh.by_outcome);
-  EXPECT_EQ(Slurp(file), intact);
-
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
+  EXPECT_EQ(SlurpFile(file), intact);
 }
 
 }  // namespace

@@ -5,13 +5,12 @@
 // when the campaign is cancelled mid-flight.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign_fixture.h"
 #include "inject/campaign.h"
 #include "obs/events.h"
 #include "obs/json_writer.h"
@@ -20,40 +19,6 @@
 
 namespace tfsim {
 namespace {
-
-GoldenSpec SmallSpec() {
-  GoldenSpec gs;
-  gs.warmup = 12000;
-  gs.points = 3;
-  gs.spacing = 500;
-  gs.window = 4000;
-  gs.slack = 1000;
-  return gs;
-}
-
-CampaignSpec SmallCampaign(int trials) {
-  CampaignSpec spec;
-  spec.workload = "gzip";
-  spec.trials = trials;
-  spec.golden = SmallSpec();
-  return spec;
-}
-
-void ExpectSameRecords(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].mode, b.trials[i].mode) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cat, b.trials[i].cat) << "trial " << i;
-    EXPECT_EQ(a.trials[i].storage, b.trials[i].storage) << "trial " << i;
-    EXPECT_EQ(a.trials[i].cycles, b.trials[i].cycles) << "trial " << i;
-    EXPECT_EQ(a.trials[i].valid_instrs, b.trials[i].valid_instrs);
-    EXPECT_EQ(a.trials[i].inflight, b.trials[i].inflight);
-  }
-  EXPECT_EQ(a.ByOutcome(), b.ByOutcome());
-  EXPECT_EQ(a.ByFailureMode(), b.ByFailureMode());
-  EXPECT_EQ(a.spec.CacheKey(), b.spec.CacheKey());
-}
 
 // Collects every delivered event for post-run inspection. OnEvent runs on
 // the journal's drain thread; reads happen only after RunCampaign returned
@@ -76,9 +41,7 @@ class CollectSink : public obs::EventSink {
 
 TEST(Telemetry, JournalOnOrOffLeavesResultsByteIdentical) {
   const CampaignSpec spec = SmallCampaign(24);
-  CampaignOptions plain;
-  plain.verbose = false;
-  plain.use_cache = false;
+  CampaignOptions plain = QuietLive();
   const CampaignResult baseline = RunCampaign(spec, plain);
   ASSERT_EQ(baseline.trials.size(), 24u);
 
@@ -88,15 +51,14 @@ TEST(Telemetry, JournalOnOrOffLeavesResultsByteIdentical) {
     obs::JsonlEventSink file_sink(jsonl, "2026-01-01T00:00:00Z");
     journal.AddSink(&file_sink);
     obs::MetricsRegistry metrics;
-    CampaignOptions opt;
-    opt.verbose = false;
-    opt.use_cache = false;
+    CampaignOptions opt = QuietLive();
     opt.jobs = jobs;
     opt.obs.events = &journal;
     opt.obs.sinks.metrics = &metrics;
     const CampaignResult r = RunCampaign(spec, opt);
     journal.RemoveSink(&file_sink);
-    ExpectSameRecords(baseline, r);
+    EXPECT_EQ(r.trials, baseline.trials) << "jobs=" << jobs;
+    EXPECT_EQ(r.spec.CacheKey(), baseline.spec.CacheKey());
     // And the journal accounted for every trial exactly once.
     std::size_t trial_done = 0;
     std::istringstream lines(jsonl.str());
@@ -117,9 +79,7 @@ TEST(Telemetry, JsonlStreamIsWellFormedOrderedAndComplete) {
   CollectSink collect;
   journal.AddSink(&collect);
   obs::MetricsRegistry metrics;
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
+  CampaignOptions opt = QuietLive();
   opt.jobs = 2;
   opt.obs.events = &journal;
   opt.obs.sinks.metrics = &metrics;
@@ -175,9 +135,7 @@ TEST(Telemetry, CancellationYieldsWellFormedPrefixAndInterruptedFinish) {
   std::ostringstream jsonl;
   obs::JsonlEventSink file_sink(jsonl, "2026-01-01T00:00:00Z");
   journal.AddSink(&file_sink);
-  CampaignOptions opt;
-  opt.verbose = false;
-  opt.use_cache = false;
+  CampaignOptions opt = QuietLive();
   opt.jobs = 2;
   opt.cancel = &cancel;
   opt.obs.events = &journal;
@@ -222,9 +180,7 @@ TEST(Telemetry, RetryAndQuarantineBecomeEvents) {
     obs::EventJournal journal;
     CollectSink collect;
     journal.AddSink(&collect);
-    CampaignOptions opt;
-    opt.verbose = false;
-    opt.use_cache = false;
+    CampaignOptions opt = QuietLive();
     opt.isolate_trials = isolate;
     opt.obs.events = &journal;
     opt.trial_fault_hook = [](std::size_t i) {
@@ -309,12 +265,7 @@ TEST(Telemetry, ProgressSinkReportsInterruption) {
 }
 
 TEST(Telemetry, CacheHitPathStillBracketsTheJournal) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tfi_test_cache_telemetry")
-          .string();
-  ::setenv("TFI_CACHE_DIR", dir.c_str(), 1);
-  std::filesystem::remove_all(dir);
-
+  ScopedCacheDir cache("tfi_test_cache_telemetry");
   const CampaignSpec spec = SmallCampaign(10);
   CampaignOptions warm;
   warm.verbose = false;
@@ -339,9 +290,6 @@ TEST(Telemetry, CacheHitPathStillBracketsTheJournal) {
   EXPECT_TRUE(saw_hit);
   EXPECT_EQ(events.back().kind, obs::EventKind::kCampaignFinish);
   EXPECT_EQ(events.back().value, 10u);
-
-  std::filesystem::remove_all(dir);
-  ::unsetenv("TFI_CACHE_DIR");
 }
 
 TEST(Telemetry, MetricsExportCarriesSchemaVersionDeterministically) {

@@ -5,11 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "campaign_fixture.h"
 #include "inject/cache.h"
 #include "inject/campaign.h"
 #include "obs/metrics.h"
@@ -21,71 +20,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
-class ScopedCacheDir {
- public:
-  explicit ScopedCacheDir(const std::string& name)
-      : dir_((fs::temp_directory_path() / name).string()) {
-    fs::remove_all(dir_);
-    ::setenv("TFI_CACHE_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    fs::remove_all(dir_);
-    ::unsetenv("TFI_CACHE_DIR");
-  }
-
- private:
-  std::string dir_;
-};
-
-CampaignSpec SmallCampaign(const std::string& workload, int trials) {
-  CampaignSpec spec;
-  spec.workload = workload;
-  spec.trials = trials;
-  spec.golden.warmup = 12000;
-  spec.golden.points = 3;
-  spec.golden.spacing = 500;
-  spec.golden.window = 4000;
-  spec.golden.slack = 1000;
-  return spec;
-}
-
+// Quiet options that consult the results cache when `use_cache`.
 CampaignOptions Quiet(bool use_cache) {
-  CampaignOptions opt;
-  opt.verbose = false;
+  CampaignOptions opt = QuietLive();
   opt.use_cache = use_cache;
   return opt;
 }
 
-bool SameRecords(const CampaignResult& a, const CampaignResult& b) {
-  if (a.trials.size() != b.trials.size()) return false;
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    const TrialRecord& x = a.trials[i];
-    const TrialRecord& y = b.trials[i];
-    if (x.outcome != y.outcome || x.mode != y.mode || x.cat != y.cat ||
-        x.storage != y.storage || x.cycles != y.cycles ||
-        x.valid_instrs != y.valid_instrs || x.inflight != y.inflight)
-      return false;
-  }
-  return true;
-}
-
 void ExpectSameResult(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_TRUE(SameRecords(a, b));
+  EXPECT_EQ(a.trials, b.trials);
   EXPECT_EQ(a.golden_ipc, b.golden_ipc);
   EXPECT_EQ(a.golden_bp_accuracy, b.golden_bp_accuracy);
   EXPECT_EQ(a.golden_dcache_misses, b.golden_dcache_misses);
-}
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void WriteRaw(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
 }
 
 // Backdates `path` by an hour and returns the new stamp. A campaign that
@@ -100,7 +46,7 @@ fs::file_time_type Backdate(const std::string& path) {
 
 TEST(WarmStart, GoldenRunFromALoadedWarmStartIsBitIdentical) {
   ScopedCacheDir cache("tfi_test_warm_golden");
-  const CampaignSpec spec = SmallCampaign("gcc", 40);
+  const CampaignSpec spec = SmallCampaign(40, "gcc");
   const Program program = ResolveCampaignProgram(spec.workload);
   const Core probe(spec.core, program);
   const std::vector<TrialSpec> specs = MakeTrialSpecs(
@@ -176,7 +122,7 @@ TEST(WarmStart, GoldenRunFromALoadedWarmStartIsBitIdentical) {
 // from reset. Every golden run now resumes from a warm start, so this is
 // what pins the resumed machine, statistics and learned TLB to the truth.
 TEST(WarmStart, GoldenRunMatchesAContinuousSimulation) {
-  const CampaignSpec spec = SmallCampaign("mcf", 1);
+  const CampaignSpec spec = SmallCampaign(1, "mcf");
   const Program program = ResolveCampaignProgram(spec.workload);
   const auto golden = RecordGolden(spec.core, program, spec.golden);
 
@@ -209,7 +155,7 @@ TEST(WarmStart, GoldenRunMatchesAContinuousSimulation) {
 // past the locked-pipeline threshold fails the golden run, as a continuous
 // run would.
 TEST(WarmStart, StalledWarmUpFailsTheGoldenRun) {
-  const CampaignSpec spec = SmallCampaign("gzip", 1);
+  const CampaignSpec spec = SmallCampaign(1);
   const Program program = ResolveCampaignProgram(spec.workload);
   GoldenWarmStart warm =
       WarmUpGolden(spec.core, program, spec.golden.warmup);
@@ -222,7 +168,7 @@ TEST(WarmStart, StalledWarmUpFailsTheGoldenRun) {
 }
 
 TEST(WarmStart, MismatchedWarmStartIsRejected) {
-  const CampaignSpec spec = SmallCampaign("gzip", 1);
+  const CampaignSpec spec = SmallCampaign(1);
   const Program program = ResolveCampaignProgram(spec.workload);
   const GoldenWarmStart shorter =
       WarmUpGolden(spec.core, program, spec.golden.warmup - 1);
@@ -258,7 +204,7 @@ class WarmStartShare : public ::testing::TestWithParam<ShareCase> {};
 
 TEST_P(WarmStartShare, LoadedWarmStartGivesByteIdenticalCampaigns) {
   const ShareCase& c = GetParam();
-  CampaignSpec spec = SmallCampaign(c.workload, 16);
+  CampaignSpec spec = SmallCampaign(16, c.workload);
   spec.include_ram = c.include_ram;
   if (c.protect) spec.core.protect = ProtectionConfig::All();
   if (c.small_core) {
@@ -305,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(WarmStart, KeyCoversMachineProgramAndWarmupOnly) {
-  const CampaignSpec base = SmallCampaign("gzip", 10);
+  const CampaignSpec base = SmallCampaign(10);
   const std::string key = base.WarmStartKey();
 
   auto expect_differs = [&](const char* what, auto mutate) {
@@ -347,7 +293,7 @@ TEST(WarmStart, CacheKeyStringsArePinned) {
   EXPECT_EQ(spec.CacheKey(), "gzip_lr_base_15fc2540aa01ac08");
   spec.include_ram = false;
   EXPECT_EQ(spec.CacheKey(), "gzip_l_base_fe1c8b6505fd77ca");
-  CampaignSpec prot = SmallCampaign("parser+sw", 16);
+  CampaignSpec prot = SmallCampaign(16, "parser+sw");
   prot.core.protect = ProtectionConfig::All();
   prot.core.rob_entries = 32;
   EXPECT_EQ(prot.CacheKey(), "parser+sw_lr_prot_987dd6b1771f2e83");
@@ -355,11 +301,11 @@ TEST(WarmStart, CacheKeyStringsArePinned) {
 
 TEST(WarmStart, DamagedOrForeignWarmFilesAreMissesAndRewritten) {
   ScopedCacheDir cache("tfi_test_warm_damaged");
-  CampaignSpec spec = SmallCampaign("gzip", 8);
+  CampaignSpec spec = SmallCampaign(8);
   const CampaignResult live = RunCampaign(spec, Quiet(false));
   (void)RunCampaign(spec, Quiet(true));
   const std::string path = GoldenWarmStartPath(spec);
-  const std::string good = Slurp(path);
+  const std::string good = SlurpFile(path);
   ASSERT_EQ(good.rfind("tfi-warm v1\n", 0), 0u);
 
   const std::size_t body = good.find('\n', good.find('\n') + 1) + 1;
@@ -387,7 +333,7 @@ TEST(WarmStart, DamagedOrForeignWarmFilesAreMissesAndRewritten) {
     // back to simulating its warm-up, and rewrites the file.
     spec.seed += 1;
     (void)RunCampaign(spec, Quiet(true));
-    EXPECT_EQ(Slurp(path), good) << what;
+    EXPECT_EQ(SlurpFile(path), good) << what;
   }
   // A checksummed file whose delta does not fit the core (a word index past
   // the registry) is a miss too.
@@ -397,7 +343,7 @@ TEST(WarmStart, DamagedOrForeignWarmFilesAreMissesAndRewritten) {
   ASSERT_TRUE(LoadGoldenWarmStart(spec).has_value());
   spec.seed += 1;
   (void)RunCampaign(spec, Quiet(true));
-  EXPECT_EQ(Slurp(path), good) << "misfit";
+  EXPECT_EQ(SlurpFile(path), good) << "misfit";
 
   // The rewritten file serves a campaign byte-identical to a live one.
   spec.seed = live.spec.seed;
@@ -407,7 +353,7 @@ TEST(WarmStart, DamagedOrForeignWarmFilesAreMissesAndRewritten) {
 
 TEST(WarmStart, ObservedRunsNeverLoadAWarmStart) {
   ScopedCacheDir cache("tfi_test_warm_observed");
-  const CampaignSpec spec = SmallCampaign("gzip", 8);
+  const CampaignSpec spec = SmallCampaign(8);
   const CampaignResult live = RunCampaign(spec, Quiet(false));
   obs::MetricsRegistry live_metrics;
   CampaignOptions observed = Quiet(false);
@@ -425,8 +371,8 @@ TEST(WarmStart, ObservedRunsNeverLoadAWarmStart) {
     CampaignSpec probe = spec;
     probe.seed += 1;  // miss the results cache
     CampaignSpec probe_live = probe;
-    diverged = !SameRecords(RunCampaign(probe, Quiet(true)),
-                            RunCampaign(probe_live, Quiet(false)));
+    diverged = RunCampaign(probe, Quiet(true)).trials !=
+               RunCampaign(probe_live, Quiet(false)).trials;
   } catch (const std::exception&) {
     diverged = true;
   }

@@ -993,9 +993,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tfi %s: wrong number of operands\n", cmd->name);
     return Usage(cmd);
   }
-  // Chaos failpoints are armed exclusively by TFI_FAILPOINTS (fault drills
-  // and the chaos_smoke ctest); without it this is one env read and the
-  // per-site probes stay a single relaxed atomic load.
+  // Chaos failpoints are armed exclusively by TFI_FAILPOINTS (fault drills);
+  // without it this is one env read and the per-site probes stay a single
+  // relaxed atomic load.
   if (const int sites = fail::ConfigureFromEnv(); sites > 0)
     std::fprintf(stderr, "tfi: %d failpoint(s) armed from TFI_FAILPOINTS\n",
                  sites);
